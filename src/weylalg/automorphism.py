@@ -1,21 +1,26 @@
 """Grading-preserving automorphisms and derivations of the truncated algebra.
 
-An automorphism is stored by its action on generators: images of the 2d
-variables plus a scalar c with hbar -> c*hbar. Images must lie in the ideal
-of positive grade so the map preserves the grading filtration.
+Both are linear maps fixed by their images of the 2d generators; the images
+must lie in the ideal of positive grade, so the maps respect the grading
+filtration. An automorphism also carries a scalar c with hbar -> c*hbar;
+a derivation kills hbar and commutes with multiplication by it (c = 1).
 
-Applying the map to a monomial uses the recursion
+Both extend from generators to monomials by one recursion,
 
-    z^alpha = z_k * (star) z^beta - (hbar/2i) {z_k, z^beta}
+    z^alpha = z_k * (star) z^beta - (hbar/2i) {z_k, z^beta},
 
-with k the smallest index present in alpha; both pieces have images already
-known by induction. Results are memoized per exponent tuple, so repeated
-applications (composition, logarithms, verification sweeps) stay cheap.
+with k the smallest index present in alpha. The bracket is a monomial of
+lower degree, so both pieces have images known by induction. The two maps
+differ only in the image of 1 (1 or 0) and in the product rule applied to
+z_k * z^beta: phi(z_k) * phi(z^beta) for an automorphism, the Leibniz rule
+D(z_k) * z^beta + z_k * D(z^beta) for a derivation. The hbar of the
+correction maps to c*hbar. Images are memoized per exponent tuple, so
+repeated applications (composition, logarithms, verification sweeps) stay
+cheap.
 
-Derivations use the same recursion with the Leibniz rule in place of
-multiplicativity. exp/log convert between derivations with images in X_2
-and automorphisms with identity linear part; both series terminate exactly
-because each step raises the lowest grade.
+exp/log convert between derivations with images in X_2 and automorphisms
+with identity linear part. These series, and inner(S) = exp((i/hbar) ad_S),
+terminate exactly because each step raises the lowest grade.
 """
 
 from __future__ import annotations
@@ -30,77 +35,54 @@ from .errors import (
     KernelPreconditionError,
 )
 from .scalars import _Q, G_ONE, GaussianRational, QONE, QZERO
-from .star import _moyal_raw, commutator, moyal, poisson, scaled_bracket
-
-_FACT_Q = [_Q(1)]
+from .star import _acc_add, _fact, _moyal_raw, commutator, moyal, poisson, scaled_bracket
 
 
-def _inv_factorial(n):
-    while len(_FACT_Q) <= n:
-        _FACT_Q.append(_FACT_Q[-1] * len(_FACT_Q))
-    return QONE / _FACT_Q[n]
+class _StarRecursionMap:
+    """A linear map fixed by generator images, extended by the star recursion.
 
+    Subclasses set `_kind` (for messages), `_one` (the image of 1) and
+    `_product(k, beta)`, the raw image of z_k * z^beta; the hbar of the
+    bracket correction is scaled by c.
+    """
 
-def _bucket(raw):
-    out = {}
-    for key, val in raw.items():
-        g = 2 * key[0] + sum(key[1])
-        out.setdefault(g, []).append((key, val))
-    return out
+    __slots__ = ("ctx", "images", "_c", "_hpows", "_memo")
 
-
-def _add_into(acc, key, re, im):
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = (re, im)
-    else:
-        acc[key] = (cur[0] + re, cur[1] + im)
-
-
-def _check_images(ctx, images, cls):
-    if len(images) != ctx.nvars:
-        raise cls(f"need {ctx.nvars} generator images, got {len(images)}")
-    for k, im in enumerate(images):
-        if not isinstance(im, WeylElement):
-            raise cls(f"image of {ctx.variable_name(k)} is not an element")
-        if im.ctx != ctx:
-            raise ContextError(
-                f"image of {ctx.variable_name(k)} lives in {im.ctx}, expected {ctx}")
-        lg = im.lowest_grade()
-        if lg is not None and lg < 1:
-            raise cls(
-                f"image of {ctx.variable_name(k)} has a grade-0 term; "
-                "images must lie in the positive-grade ideal")
-
-
-class AutomorphismData:
-    """Generator images plus the hbar scale factor; apply() is memoized."""
-
-    __slots__ = ("ctx", "images", "hbar_scale", "_memo", "_hpows")
-
-    def __init__(self, ctx, images, hbar_scale=G_ONE):
+    def __init__(self, ctx, images, c):
         if not isinstance(ctx, Context):
             raise ContextError("first argument must be a Context")
-        c = hbar_scale if isinstance(hbar_scale, GaussianRational) \
-            else GaussianRational(hbar_scale)
-        if c.is_zero():
-            raise AutomorphismError("hbar scale factor must be nonzero")
         images = tuple(images)
-        _check_images(ctx, images, InvalidImageError)
+        if len(images) != ctx.nvars:
+            raise InvalidImageError(
+                f"need {ctx.nvars} generator images, got {len(images)}")
+        for k, im in enumerate(images):
+            if not isinstance(im, WeylElement):
+                raise InvalidImageError(
+                    f"image of {ctx.variable_name(k)} is not an element")
+            if im.ctx != ctx:
+                raise ContextError(
+                    f"image of {ctx.variable_name(k)} lives in {im.ctx}, expected {ctx}")
+            lg = im.lowest_grade()
+            if lg is not None and lg < 1:
+                raise InvalidImageError(
+                    f"image of {ctx.variable_name(k)} has a grade-0 term; "
+                    "images must lie in the positive-grade ideal")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "hbar_scale", c)
+        object.__setattr__(self, "_c", c)
+        # powers of c as (re, im), or None when c = 1 and apply skips them
+        object.__setattr__(
+            self, "_hpows", None if c.is_one() else [(QONE, QZERO), (c.re, c.im)])
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_hpows", [(QONE, QZERO), (c.re, c.im)])
 
     def __setattr__(self, name, value):
-        raise AttributeError("AutomorphismData is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _scale_pow(self, h):
         lst = self._hpows
+        c = self._c
         while len(lst) <= h:
             pre, pim = lst[-1]
-            c = self.hbar_scale
             lst.append((pre * c.re - pim * c.im, pre * c.im + pim * c.re))
         return lst[h]
 
@@ -110,66 +92,61 @@ class AutomorphismData:
         b = memo.get(e)
         if b is not None:
             return b
-        ctx = self.ctx
         deg = sum(e)
         if deg == 0:
-            b = {0: [((0, e), (QONE, QZERO))]}
-            memo[e] = b
-            return b
-        if deg == 1:
+            b = {0: [((0, e), (self._one, QZERO))]} if self._one else {}
+        elif deg == 1:
             b = self.images[e.index(1)]._buckets()
-            memo[e] = b
-            return b
-        k = next(i for i, v in enumerate(e) if v)
-        beta = list(e)
-        beta[k] -= 1
-        beta = tuple(beta)
-        d = ctx.dim
-        raw = _moyal_raw(
-            self.images[k]._buckets(), self._image_buckets(beta), d, ctx.trunc)
-        # bracket correction: z^alpha = z_k star z^beta - (hbar/2i){z_k, z^beta}
-        if k < d:
-            q, sim_sign = d + k, -1
         else:
-            q, sim_sign = k - d, 1
-        n = beta[q]
-        if n:
-            gamma = list(beta)
-            gamma[q] -= 1
-            c = self.hbar_scale
-            # coefficient s*n*(i/2)*c where s = -1 for x pivots, +1 for xi
-            w = _Q(sim_sign * n, 2)
-            cre, cim = -w * c.im, w * c.re
-            trunc = ctx.trunc
-            for g, items in self._image_buckets(tuple(gamma)).items():
-                if g + 2 > trunc:
-                    continue
-                for (h, ee), (re, im) in items:
-                    _add_into(raw, (h + 1, ee),
-                              re * cre - im * cim, re * cim + im * cre)
-        b = _bucket({k2: v for k2, v in raw.items() if v[0] or v[1]})
+            ctx = self.ctx
+            d = ctx.dim
+            k = next(i for i, v in enumerate(e) if v)
+            beta = e[:k] + (e[k] - 1,) + e[k + 1:]
+            raw = self._product(k, beta)
+            # bracket correction: z^alpha = z_k star z^beta - (hbar/2i){z_k, z^beta}
+            if k < d:
+                q, sim_sign = d + k, -1
+            else:
+                q, sim_sign = k - d, 1
+            n = beta[q]
+            if n:
+                gamma = beta[:q] + (n - 1,) + beta[q + 1:]
+                # times w = s*n*(i/2)*c, s = -1 for x pivots and +1 for xi;
+                # wre is 0 for real c, which saves two multiplications a term
+                half = _Q(sim_sign * n, 2)
+                wre, wim = -half * self._c.im, half * self._c.re
+                trunc = ctx.trunc
+                for g, items in self._image_buckets(gamma).items():
+                    if g + 2 > trunc:
+                        continue
+                    for (h, ee), (re, im) in items:
+                        tre, tim = -im * wim, re * wim
+                        if wre:
+                            tre, tim = tre + re * wre, tim + im * wre
+                        _acc_add(raw, (h + 1, ee), tre, tim)
+            b = WeylElement._from_raw(
+                ctx, {k2: v for k2, v in raw.items() if v[0] or v[1]})._buckets()
         memo[e] = b
         return b
 
     def apply(self, a):
         if a.ctx != self.ctx:
-            raise ContextError(f"element context {a.ctx} != automorphism context {self.ctx}")
+            raise ContextError(
+                f"element context {a.ctx} != {self._kind} context {self.ctx}")
         trunc = self.ctx.trunc
+        scaled = self._hpows is not None
         acc = {}
         for (h, e), (re, im) in a._raw.items():
-            if h:
+            if h and scaled:
                 pre, pim = self._scale_pow(h)
-                sre = re * pre - im * pim
-                sim = re * pim + im * pre
-            else:
-                sre, sim = re, im
+                re, im = re * pre - im * pim, re * pim + im * pre
             shift = 2 * h
             for g, items in self._image_buckets(e).items():
                 if g + shift > trunc:
                     continue
                 for (h2, e2), (r2, i2) in items:
-                    _add_into(acc, (h2 + h, e2),
-                              sre * r2 - sim * i2, sre * i2 + sim * r2)
+                    _acc_add(acc, (h2 + h, e2),
+                             re * r2 - im * i2, re * i2 + im * r2)
         return WeylElement._from_raw(
             self.ctx, {k: v for k, v in acc.items() if v[0] or v[1]})
 
@@ -180,11 +157,33 @@ class AutomorphismData:
         ims = ", ".join(
             f"{self.ctx.variable_name(k)} -> {im}"
             for k, im in enumerate(self.images))
-        return f"<Automorphism {self.ctx} c={self.hbar_scale} [{ims}]>"
+        scale = "" if self._hpows is None else f" c={self._c}"
+        return f"<{self._kind.capitalize()} {self.ctx}{scale} [{ims}]>"
 
 
-def apply(phi, a):
-    return phi.apply(a)
+class AutomorphismData(_StarRecursionMap):
+    """Generator images plus the hbar scale factor; apply() is memoized."""
+
+    __slots__ = ()
+    _kind = "automorphism"
+    _one = QONE
+
+    def __init__(self, ctx, images, hbar_scale=G_ONE):
+        c = hbar_scale if isinstance(hbar_scale, GaussianRational) \
+            else GaussianRational(hbar_scale)
+        if c.is_zero():
+            raise AutomorphismError("hbar scale factor must be nonzero")
+        super().__init__(ctx, images, c)
+
+    @property
+    def hbar_scale(self):
+        return self._c
+
+    def _product(self, k, beta):
+        # phi(z_k) star phi(z^beta)
+        ctx = self.ctx
+        return _moyal_raw(self.images[k]._buckets(), self._image_buckets(beta),
+                          ctx.dim, ctx.trunc)
 
 
 def identity_automorphism(ctx):
@@ -301,6 +300,27 @@ def is_real(phi):
     return True
 
 
+def _inv_factorial(m):
+    return _Q(1, _fact(m))
+
+
+def _series(start, step, coeff):
+    """start + sum_{m >= 1} coeff(m) * step^m(start), up to the first zero term.
+
+    Every caller's step raises the lowest grade, so the terms vanish in the
+    truncated algebra after at most trunc + 2 steps.
+    """
+    total = cur = start
+    m = 0
+    while not cur.is_zero():
+        m += 1
+        if m > start.ctx.trunc + 2:
+            raise InternalError("series failed to terminate")
+        cur = step(cur)
+        total = total + cur.scale(coeff(m))
+    return total
+
+
 def inner_automorphism(s, ctx=None):
     """exp((i/hbar) ad_S) as an automorphism of the target context.
 
@@ -316,118 +336,37 @@ def inner_automorphism(s, ctx=None):
     if lg is not None and lg < 3:
         raise InnerGeneratorError(
             f"inner generator has a term of grade {lg}; all terms must have grade >= 3")
-    images = []
-    for k in range(ctx.nvars):
-        cur = WeylElement.variable(ctx, k)
-        total = cur
-        m = 0
-        while not cur.is_zero():
-            m += 1
-            if m > ctx.trunc + 2:
-                raise InternalError("inner automorphism series failed to terminate")
-            cur = scaled_bracket(s, cur)
-            total = total + cur.scale(_inv_factorial(m))
-        images.append(total)
+    images = [_series(WeylElement.variable(ctx, k),
+                      lambda cur: scaled_bracket(s, cur), _inv_factorial)
+              for k in range(ctx.nvars)]
     return AutomorphismData(ctx, images, G_ONE)
 
 
-class DerivationData:
+class DerivationData(_StarRecursionMap):
     """A derivation of the truncated algebra, stored by generator images.
 
     Linear, kills hbar, and satisfies the Leibniz rule over the star
     product. Images must lie in the positive-grade ideal.
     """
 
-    __slots__ = ("ctx", "images", "_memo")
+    __slots__ = ()
+    _kind = "derivation"
+    _one = QZERO
 
     def __init__(self, ctx, images):
-        if not isinstance(ctx, Context):
-            raise ContextError("first argument must be a Context")
-        images = tuple(images)
-        _check_images(ctx, images, InvalidImageError)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_memo", {})
+        super().__init__(ctx, images, G_ONE)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivationData is immutable")
-
-    def _image_buckets(self, e):
-        memo = self._memo
-        b = memo.get(e)
-        if b is not None:
-            return b
+    def _product(self, k, beta):
+        # D(z_k) star z^beta + z_k star D(z^beta)
         ctx = self.ctx
-        deg = sum(e)
-        if deg == 0:
-            b = {}
-            memo[e] = b
-            return b
-        if deg == 1:
-            b = self.images[e.index(1)]._buckets()
-            memo[e] = b
-            return b
-        k = next(i for i, v in enumerate(e) if v)
-        beta = list(e)
-        beta[k] -= 1
-        beta = tuple(beta)
-        d = ctx.dim
-        trunc = ctx.trunc
-        zk_bucket = {1: [((0, tuple(1 if i == k else 0 for i in range(2 * d))),
-                          (QONE, QZERO))]}
-        beta_bucket = {sum(beta): [((0, beta), (QONE, QZERO))]}
-        # Leibniz on z^alpha = z_k star z^beta - (hbar/2i){z_k, z^beta}
-        raw = _moyal_raw(self.images[k]._buckets(), beta_bucket, d, trunc)
+        d, trunc = ctx.dim, ctx.trunc
+        raw = _moyal_raw(self.images[k]._buckets(),
+                         {sum(beta): [((0, beta), (QONE, QZERO))]}, d, trunc)
+        zk = WeylElement.variable(ctx, k)._buckets()
         for key, (re, im) in _moyal_raw(
-                zk_bucket, self._image_buckets(beta), d, trunc).items():
-            _add_into(raw, key, re, im)
-        if k < d:
-            q, sim_sign = d + k, -1
-        else:
-            q, sim_sign = k - d, 1
-        n = beta[q]
-        if n:
-            gamma = list(beta)
-            gamma[q] -= 1
-            w = _Q(sim_sign * n, 2)
-            for g, items in self._image_buckets(tuple(gamma)).items():
-                if g + 2 > trunc:
-                    continue
-                for (h, ee), (re, im) in items:
-                    # multiply by i*w, shift one power of hbar
-                    _add_into(raw, (h + 1, ee), -im * w, re * w)
-        b = _bucket({k2: v for k2, v in raw.items() if v[0] or v[1]})
-        memo[e] = b
-        return b
-
-    def apply(self, a):
-        if a.ctx != self.ctx:
-            raise ContextError(f"element context {a.ctx} != derivation context {self.ctx}")
-        trunc = self.ctx.trunc
-        acc = {}
-        for (h, e), (re, im) in a._raw.items():
-            shift = 2 * h
-            for g, items in self._image_buckets(e).items():
-                if g + shift > trunc:
-                    continue
-                for (h2, e2), (r2, i2) in items:
-                    _add_into(acc, (h2 + h, e2),
-                              re * r2 - im * i2, re * i2 + im * r2)
-        return WeylElement._from_raw(
-            self.ctx, {k: v for k, v in acc.items() if v[0] or v[1]})
-
-    def __call__(self, a):
-        return self.apply(a)
-
-    def __repr__(self):
-        ims = ", ".join(
-            f"{self.ctx.variable_name(k)} -> {im}"
-            for k, im in enumerate(self.images))
-        return f"<Derivation {self.ctx} [{ims}]>"
-
-
-def derivation_apply(dv, a):
-    return dv.apply(a)
+                zk, self._image_buckets(beta), d, trunc).items():
+            _acc_add(raw, key, re, im)
+        return raw
 
 
 def _require_kernel_images(ctx, images, what):
@@ -446,18 +385,8 @@ def exp_derivation(dv):
     """
     ctx = dv.ctx
     _require_kernel_images(ctx, dv.images, "exp")
-    images = []
-    for k in range(ctx.nvars):
-        cur = WeylElement.variable(ctx, k)
-        total = cur
-        m = 0
-        while not cur.is_zero():
-            m += 1
-            if m > ctx.trunc + 2:
-                raise InternalError("derivation exponential failed to terminate")
-            cur = dv.apply(cur)
-            total = total + cur.scale(_inv_factorial(m))
-        images.append(total)
+    images = [_series(WeylElement.variable(ctx, k), dv.apply, _inv_factorial)
+              for k in range(ctx.nvars)]
     return AutomorphismData(ctx, images, G_ONE)
 
 
@@ -470,24 +399,15 @@ def log_automorphism(phi):
     ctx = phi.ctx
     if not phi.hbar_scale.is_one():
         raise KernelPreconditionError("log requires hbar scale 1")
-    n = ctx.nvars
-    for k in range(n):
-        diff = phi.images[k] - WeylElement.variable(ctx, k)
+    diffs = [phi.images[k] - WeylElement.variable(ctx, k)
+             for k in range(ctx.nvars)]
+    for k, diff in enumerate(diffs):
         lg = diff.lowest_grade()
         if lg is not None and lg < 2:
             raise KernelPreconditionError(
                 "log requires identity linear part; image of "
                 f"{ctx.variable_name(k)} differs at grade {lg}")
-    images = []
-    for k in range(n):
-        cur = phi.images[k] - WeylElement.variable(ctx, k)
-        total = WeylElement.zero(ctx)
-        m = 0
-        while not cur.is_zero():
-            m += 1
-            if m > ctx.trunc + 2:
-                raise InternalError("automorphism logarithm failed to terminate")
-            total = total + cur.scale(_Q(-1 if m % 2 == 0 else 1, m))
-            cur = phi.apply(cur) - cur
-        images.append(total)
+    images = [_series(diff, lambda cur: phi.apply(cur) - cur,
+                      lambda m: _Q(-1 if m % 2 else 1, m + 1))
+              for diff in diffs]
     return DerivationData(ctx, images)

@@ -8,7 +8,7 @@ Exit codes:
     0   success
     1   internal error
     2   expression or JSON syntax error
-    3   bad record shape, schema, or context parameters
+    3   bad record shape, schema, context parameters or negative counts
     10  generator image outside the positive-grade ideal
     11  linear part not invertible
     12  linear part (or supplied matrix) not symplectic
@@ -188,7 +188,15 @@ def _cmd_factor(args):
     return 0
 
 
+def _require_counts(args, *flags):
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise ContextError(f"--{flag} must not be negative, got {value}")
+
+
 def _cmd_random_instance(args):
+    _require_counts(args, "steps", "terms")
     ctx = Context(args.dim, args.max_grade)
     rng = seeded(args.seed)
     phi, m, s = random_instance(rng, ctx, steps=args.steps,
@@ -206,6 +214,7 @@ def _cmd_random_instance(args):
 
 
 def _cmd_selftest(args):
+    _require_counts(args, "cases")
     ctx = Context(args.dim, args.max_grade)
     rng = seeded(args.seed)
     ok = 0

@@ -237,12 +237,11 @@ def parse_element(text, ctx):
 
 def parse_scalar(text):
     """A Gaussian-rational constant; variables and hbar are rejected."""
-    e = _Parser(_tokenize(text), Context(1, 4)).parse()
-    for (h, exps), _v in e._raw.items():
-        if h or any(exps):
-            raise RecordError(
-                f"expected a scalar constant, got {text!r}")
-    return e.coefficient(0, (0, 0))
+    tokens = _tokenize(text)
+    # checked before evaluation, whose truncation could drop h^3 or x1^5
+    if any(t.kind == "name" and t.value != "i" for t in tokens):
+        raise RecordError(f"expected a scalar constant, got {text!r}")
+    return _Parser(tokens, Context(1, 4)).parse().coefficient(0, (0, 0))
 
 
 # canonical printing
@@ -448,7 +447,10 @@ def automorphism_from_record(rec):
     scale_text = payload.get("hbar_scale", "1")
     if not isinstance(scale_text, str):
         raise RecordError("hbar_scale must be a string")
-    return AutomorphismData(ctx, parsed, parse_scalar(scale_text))
+    scale = parse_scalar(scale_text)
+    if scale.is_zero():
+        raise RecordError("hbar_scale must be nonzero")
+    return AutomorphismData(ctx, parsed, scale)
 
 
 def factorization_from_record(rec):

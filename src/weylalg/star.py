@@ -214,33 +214,28 @@ def poisson(a, b):
     return out
 
 
+def _commutator_raw(a, b, cutoff):
+    """Raw terms of a * b - b * a up to grade cutoff, zeros dropped."""
+    d = a.ctx.dim
+    raw = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
+    for k, (re, im) in _moyal_raw(b._buckets(), a._buckets(), d, cutoff).items():
+        _acc_add(raw, k, -re, -im)
+    return {k: v for k, v in raw.items() if v[0] or v[1]}
+
+
 def commutator(a, b):
     """Star commutator a * b - b * a."""
     _require_same_ctx(a, b)
-    d = a.ctx.dim
-    cutoff = a.ctx.trunc
-    raw = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
-    back = _moyal_raw(b._buckets(), a._buckets(), d, cutoff)
-    for k, (re, im) in back.items():
-        _acc_add(raw, k, -re, -im)
-    return WeylElement._from_raw(
-        a.ctx, {k: v for k, v in raw.items() if v[0] or v[1]})
+    return WeylElement._from_raw(a.ctx, _commutator_raw(a, b, a.ctx.trunc))
 
 
 def scaled_bracket(a, b):
     """(i/hbar)[a, b]: exact, grade m+n-2, result trunc = min of operands."""
     _require_same_dim(a, b)
-    d = a.ctx.dim
     trunc = min(a.ctx.trunc, b.ctx.trunc)
-    cutoff = trunc + 2  # the bracket peeks two grades above the quotient
-    raw = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
-    back = _moyal_raw(b._buckets(), a._buckets(), d, cutoff)
-    for k, (re, im) in back.items():
-        _acc_add(raw, k, -re, -im)
     out = {}
-    for (h, e), (re, im) in raw.items():
-        if not (re or im):
-            continue
+    # the bracket peeks two grades above the quotient
+    for (h, e), (re, im) in _commutator_raw(a, b, trunc + 2).items():
         if h == 0:
             raise InternalError(
                 "commutator produced a term without an hbar factor; "
@@ -249,5 +244,5 @@ def scaled_bracket(a, b):
         out[(h - 1, e)] = (-im, re)
     ctx = a.ctx if a.ctx.trunc == trunc else b.ctx
     if ctx.trunc != trunc:
-        ctx = Context(d, trunc)
+        ctx = Context(a.ctx.dim, trunc)
     return WeylElement._from_raw(ctx, out)

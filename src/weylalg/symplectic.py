@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .automorphism import AutomorphismData, _add_into
+from .automorphism import AutomorphismData
 from .elements import Context, WeylElement, MIN_TRUNC
 from .errors import ContextError, NotConformalError, NotSymplecticError, SingularMatrixError
 from .scalars import _Q, G_ONE, G_ZERO, GaussianRational, rational
+from .star import _acc_add
 
 _J_CACHE = {}
 
@@ -245,7 +246,7 @@ def pullback(m, a):
             while k < n and not e[k]:
                 k += 1
             if k == n:
-                _add_into(acc, t[1] << hshift, t[2], t[3])
+                _acc_add(acc, t[1] << hshift, t[2], t[3])
             else:
                 e[k] -= 1
                 groups.setdefault(k, []).append(t)
@@ -253,8 +254,8 @@ def pullback(m, a):
             form = forms[k]
             for key, (re, im) in subst(sub, k).items():
                 for unit, fre, fim in form:
-                    _add_into(acc, key + unit,
-                              re * fre - im * fim, re * fim + im * fre)
+                    _acc_add(acc, key + unit,
+                             re * fre - im * fim, re * fim + im * fre)
         return acc
 
     den = _lcm_denominators(x for pair in a._raw.values() for x in pair)

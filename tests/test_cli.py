@@ -102,6 +102,35 @@ def test_context_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("random-instance", "--steps"),
+    ("random-instance", "--terms"),
+    ("selftest", "--cases"),
+])
+def test_negative_count_exit_code(command, flag, tmp_path, capsys):
+    argv = [command, flag, "-1"]
+    if command == "random-instance":
+        argv += ["--out", str(tmp_path / "inst.json")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["apply", "factor"])
+def test_zero_hbar_scale_record(command, tmp_path, capsys):
+    rec = json.loads((FIXTURES / "hbar_scale.json").read_text())
+    rec["payload"]["hbar_scale"] = "0"
+    path = tmp_path / "zero_scale.json"
+    path.write_text(json.dumps(rec))
+    argv = [command, str(path)] + (["x1"] if command == "apply" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hbar_scale" in captured.err
+
+
 def test_missing_file(capsys):
     assert main(["factor", "/nonexistent/nope.json"]) == 1
     capsys.readouterr()

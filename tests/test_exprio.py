@@ -124,6 +124,10 @@ def test_parse_scalar():
         parse_scalar("x1")
     with pytest.raises(RecordError):
         parse_scalar("h")
+    # truncation at the internal grade bound must not turn these into scalars
+    for text in ("h^3", "p1^9", "x1^5 + 2"):
+        with pytest.raises(RecordError):
+            parse_scalar(text)
 
 
 def test_element_record_roundtrip(rng, ctx2):
