@@ -25,7 +25,9 @@ terminate exactly because each step raises the lowest grade.
 
 from __future__ import annotations
 
-from .elements import Context, WeylElement, monomials_of_grade
+from fractions import Fraction
+
+from .elements import Context, WeylElement, _acc_add, monomials_of_grade
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -34,8 +36,8 @@ from .errors import (
     InvalidImageError,
     KernelPreconditionError,
 )
-from .scalars import _Q, G_ONE, GaussianRational, QONE, QZERO
-from .star import _acc_add, _fact, _moyal_raw, commutator, moyal, poisson, scaled_bracket
+from .scalars import G_ONE, GaussianRational, QONE, QZERO
+from .star import _fact, _moyal_raw, commutator, moyal, poisson, scaled_bracket
 
 
 class _StarRecursionMap:
@@ -113,7 +115,7 @@ class _StarRecursionMap:
                 gamma = beta[:q] + (n - 1,) + beta[q + 1:]
                 # times w = s*n*(i/2)*c, s = -1 for x pivots and +1 for xi;
                 # wre is 0 for real c, which saves two multiplications a term
-                half = _Q(sim_sign * n, 2)
+                half = Fraction(sim_sign * n, 2)
                 wre, wim = -half * self._c.im, half * self._c.re
                 trunc = ctx.trunc
                 for g, items in self._image_buckets(gamma).items():
@@ -124,8 +126,7 @@ class _StarRecursionMap:
                         if wre:
                             tre, tim = tre + re * wre, tim + im * wre
                         _acc_add(raw, (h + 1, ee), tre, tim)
-            b = WeylElement._from_raw(
-                ctx, {k2: v for k2, v in raw.items() if v[0] or v[1]})._buckets()
+            b = WeylElement._from_acc(ctx, raw)._buckets()
         memo[e] = b
         return b
 
@@ -147,8 +148,7 @@ class _StarRecursionMap:
                 for (h2, e2), (r2, i2) in items:
                     _acc_add(acc, (h2 + h, e2),
                              re * r2 - im * i2, re * i2 + im * r2)
-        return WeylElement._from_raw(
-            self.ctx, {k: v for k, v in acc.items() if v[0] or v[1]})
+        return WeylElement._from_acc(self.ctx, acc)
 
     def __call__(self, a):
         return self.apply(a)
@@ -301,7 +301,7 @@ def is_real(phi):
 
 
 def _inv_factorial(m):
-    return _Q(1, _fact(m))
+    return Fraction(1, _fact(m))
 
 
 def _series(start, step, coeff):
@@ -408,6 +408,6 @@ def log_automorphism(phi):
                 "log requires identity linear part; image of "
                 f"{ctx.variable_name(k)} differs at grade {lg}")
     images = [_series(diff, lambda cur: phi.apply(cur) - cur,
-                      lambda m: _Q(-1 if m % 2 else 1, m + 1))
+                      lambda m: Fraction(-1 if m % 2 else 1, m + 1))
               for diff in diffs]
     return DerivationData(ctx, images)

@@ -8,9 +8,11 @@ dropped, i.e. all arithmetic happens in the quotient by the ideal X_{N+1}
 of elements of grade >= N+1.
 
 Internally a term map is a plain dict keyed by (hpow, exps) with values
-(re, im) pairs of backend rationals; the hot loops in the star-product and
-automorphism modules work on these raw dicts directly. The public surface
-exposes Monomial keys and GaussianRational coefficients.
+(re, im) pairs of Fractions; the hot loops in the star-product and
+automorphism modules work on these raw dicts directly. They sum into an
+accumulator with _acc_add and turn it into an element with
+WeylElement._from_acc, which drops the entries that cancelled to zero.
+The public surface exposes Monomial keys and GaussianRational coefficients.
 
 Variable indexing is 0-based: index k < d is x_{k+1}, index k >= d is
 xi_{k-d+1} (printed as p{k-d+1}).
@@ -23,7 +25,6 @@ from typing import NamedTuple
 
 from .errors import ContextError
 from .scalars import GaussianRational, QONE, QZERO, _coerce
-from .scalars import _Q  # backend rational type
 
 MIN_TRUNC = 4
 
@@ -90,36 +91,26 @@ class WeylElement:
 
     __slots__ = ("ctx", "_raw", "_buckets_cache")
 
-    def __init__(self, ctx, terms=None):
-        object.__setattr__(self, "ctx", ctx)
-        raw = {}
-        if terms:
-            n = ctx.nvars
-            for key, coeff in dict(terms).items():
-                if isinstance(key, Monomial):
-                    hpow, exps = key.hpow, key.exps
-                else:
-                    hpow, exps = key
-                exps = tuple(exps)
-                if hpow < 0 or len(exps) != n or any(e < 0 for e in exps):
-                    raise ContextError(f"bad monomial {(hpow, exps)} for dim {ctx.dim}")
-                if 2 * hpow + sum(exps) > ctx.trunc:
-                    continue
-                if isinstance(coeff, GaussianRational):
-                    re, im = coeff.re, coeff.im
-                else:
-                    re, im = _coerce(coeff), QZERO
-                if re or im:
-                    k = (hpow, exps)
-                    if k in raw:
-                        ore, oim = raw[k]
-                        re, im = ore + re, oim + im
-                        if not (re or im):
-                            del raw[k]
-                            continue
-                    raw[k] = (re, im)
-        object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_buckets_cache", None)
+    def __new__(cls, ctx, terms=None):
+        """Element of {Monomial or (hpow, exps): coefficient}, truncated."""
+        acc = {}
+        n = ctx.nvars
+        for key, coeff in dict(terms or {}).items():
+            if isinstance(key, Monomial):
+                hpow, exps = key.hpow, key.exps
+            else:
+                hpow, exps = key
+            exps = tuple(exps)
+            if hpow < 0 or len(exps) != n or any(e < 0 for e in exps):
+                raise ContextError(f"bad monomial {(hpow, exps)} for dim {ctx.dim}")
+            if 2 * hpow + sum(exps) > ctx.trunc:
+                continue
+            if isinstance(coeff, GaussianRational):
+                re, im = coeff.re, coeff.im
+            else:
+                re, im = _coerce(coeff), QZERO
+            _acc_add(acc, (hpow, exps), re, im)
+        return cls._from_acc(ctx, acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
@@ -133,6 +124,11 @@ class WeylElement:
         object.__setattr__(self, "_raw", raw)
         object.__setattr__(self, "_buckets_cache", None)
         return self
+
+    @classmethod
+    def _from_acc(cls, ctx, acc):
+        """Element of an accumulator's entries, those that cancelled dropped."""
+        return cls._from_raw(ctx, {k: v for k, v in acc.items() if v[0] or v[1]})
 
     @classmethod
     def zero(cls, ctx):
@@ -226,39 +222,31 @@ class WeylElement:
 
     # ring operations
 
-    def __add__(self, other):
+    def _sum(self, other, negate):
         if not isinstance(other, WeylElement):
             return NotImplemented
         _require_same_ctx(self, other)
+        # cancelled entries are deleted in place, not by a _from_acc pass
+        # over the whole copy: the parser folds a record's terms one sum
+        # at a time, so that pass would be quadratic in the record's size
         raw = dict(self._raw)
         for k, (re, im) in other._raw.items():
+            if negate:
+                re, im = -re, -im
             cur = raw.get(k)
-            if cur is None:
-                raw[k] = (re, im)
-            else:
-                nre, nim = cur[0] + re, cur[1] + im
-                if nre or nim:
-                    raw[k] = (nre, nim)
-                else:
+            if cur is not None:
+                re, im = cur[0] + re, cur[1] + im
+                if not (re or im):
                     del raw[k]
+                    continue
+            raw[k] = (re, im)
         return WeylElement._from_raw(self.ctx, raw)
 
+    def __add__(self, other):
+        return self._sum(other, False)
+
     def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        _require_same_ctx(self, other)
-        raw = dict(self._raw)
-        for k, (re, im) in other._raw.items():
-            cur = raw.get(k)
-            if cur is None:
-                raw[k] = (-re, -im)
-            else:
-                nre, nim = cur[0] - re, cur[1] - im
-                if nre or nim:
-                    raw[k] = (nre, nim)
-                else:
-                    del raw[k]
-        return WeylElement._from_raw(self.ctx, raw)
+        return self._sum(other, True)
 
     def __neg__(self):
         return WeylElement._from_raw(
@@ -281,7 +269,7 @@ class WeylElement:
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             _require_same_ctx(self, other)
-            return WeylElement._from_raw(
+            return WeylElement._from_acc(
                 self.ctx,
                 _cmul_raw(self._buckets(), other._buckets(), self.ctx.trunc))
         if isinstance(other, (GaussianRational, int)):
@@ -345,8 +333,20 @@ class WeylElement:
         return f"<WeylElement dim={self.ctx.dim} trunc={self.ctx.trunc} {self}>"
 
 
+def _acc_add(acc, key, re, im):
+    """Add re + i*im into the accumulator entry at key; zero sums stay."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = (re, im)
+    else:
+        acc[key] = (cur[0] + re, cur[1] + im)
+
+
 def _cmul_raw(buckets_a, buckets_b, cutoff):
-    """Commutative product of bucketed raw term maps, grades > cutoff dropped."""
+    """Commutative product of bucketed raw term maps, grades > cutoff dropped.
+
+    Returns the accumulator, zero entries included.
+    """
     acc = {}
     for ga, items_a in buckets_a.items():
         for gb, items_b in buckets_b.items():
@@ -354,15 +354,9 @@ def _cmul_raw(buckets_a, buckets_b, cutoff):
                 continue
             for (h1, e1), (re1, im1) in items_a:
                 for (h2, e2), (re2, im2) in items_b:
-                    key = (h1 + h2, tuple(map(int.__add__, e1, e2)))
-                    re = re1 * re2 - im1 * im2
-                    im = re1 * im2 + im1 * re2
-                    cur = acc.get(key)
-                    if cur is None:
-                        acc[key] = (re, im)
-                    else:
-                        acc[key] = (cur[0] + re, cur[1] + im)
-    return {k: v for k, v in acc.items() if v[0] or v[1]}
+                    _acc_add(acc, (h1 + h2, tuple(map(int.__add__, e1, e2))),
+                             re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+    return acc
 
 
 def compositions(total, parts):

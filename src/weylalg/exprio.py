@@ -9,7 +9,10 @@ Expression grammar (h is hbar, x1..xd and p1..pd the variables):
     atom    :=  rational | "i" | "h" | variable | "(" expr ")"
 
 Rationals are "3" or "3/4" (a single literal, not a division operator);
-exponents are plain naturals. Whitespace is free between tokens.
+exponents are plain naturals. Digits and identifiers are ASCII, a literal
+may not exceed Python's integer-conversion limit of digits, and
+parentheses nest at most MAX_NESTING deep. Whitespace is free between
+tokens.
 
 format_element produces a canonical line: terms sorted by grade, then
 hbar power, then graded-lex on the variables (x-heavy monomials first),
@@ -28,6 +31,8 @@ two-space indent, trailing newline).
 from __future__ import annotations
 
 import json
+import sys
+from string import ascii_letters, digits
 
 from .automorphism import AutomorphismData
 from .elements import Context, WeylElement
@@ -41,6 +46,7 @@ from .scalars import GaussianRational, QZERO, rational, scalar_to_string
 from .symplectic import SympMatrix
 
 MAX_EXPONENT = 10 ** 6
+MAX_NESTING = 100
 
 SCHEMA_ELEMENT = "weyl-element/1"
 SCHEMA_MATRIX = "symp-matrix/1"
@@ -51,6 +57,9 @@ SCHEMA_FACTORIZATION = "factorization/1"
 # tokenizer
 
 _OPS = "+-*^()"
+_DIGITS = frozenset(digits)
+_NAME_START = frozenset(ascii_letters)
+_NAME_CHARS = frozenset(ascii_letters + digits + "_")
 
 
 class _Token:
@@ -61,6 +70,16 @@ class _Token:
         self.value = value
         self.line = line
         self.col = col
+
+
+def _natural(text, line, col):
+    """int of an ASCII digit string; past Python's digit limit, a syntax error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"number of {len(text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}", line, col) from None
 
 
 def _tokenize(text):
@@ -90,12 +109,12 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             l0, c0 = line, col
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            num = int(text[i:j])
+            num = _natural(text[i:j], l0, c0)
             col += j - i
             i = j
             # lookahead for "/ digits" making a rational literal
@@ -107,13 +126,13 @@ def _tokenize(text):
                 k += 1
                 while k < n and text[k] in " \t":
                     k += 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or text[k] not in _DIGITS:
                     err("expected digits after '/' in rational literal",
                         l0, c0)
                 j = k
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
-                den = int(text[k:j])
+                den = _natural(text[k:j], l0, c0)
                 if den == 0:
                     err("zero denominator", l0, c0)
                 col = saved_col + (j - i)
@@ -122,10 +141,10 @@ def _tokenize(text):
             else:
                 tokens.append(_Token("num", rational(num), l0, c0))
             continue
-        if ch.isalpha():
+        if ch in _NAME_START:
             l0, c0 = line, col
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("name", text[i:j], l0, c0))
             col += j - i
@@ -143,6 +162,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -172,10 +192,12 @@ class _Parser:
         return e
 
     def term(self):
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.take()
-            return -self.term()
-        return self.product()
+            negate = not negate
+        e = self.product()
+        return -e if negate else e
 
     def product(self):
         e = self.power()
@@ -213,7 +235,7 @@ class _Parser:
             if name == "h":
                 return WeylElement.hbar(ctx)
             if len(name) >= 2 and name[0] in "xp" and name[1:].isdigit():
-                idx = int(name[1:])
+                idx = _natural(name[1:], t.line, t.col)
                 if not 1 <= idx <= ctx.dim:
                     self.err(
                         f"variable {name!r} out of range for dimension {ctx.dim}",
@@ -222,10 +244,14 @@ class _Parser:
                 return WeylElement.variable(ctx, k)
             self.err(f"unknown identifier {name!r}", t, UnknownVariableError)
         if t.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.err(f"parentheses nest deeper than {MAX_NESTING}", t)
             e = self.expr()
             closing = self.take()
             if closing.kind != ")":
                 self.err("expected ')'", closing)
+            self.depth -= 1
             return e
         self.err(f"expected a value, found {t.kind!r}", t)
 
@@ -372,14 +398,29 @@ def _loads(text):
     except json.JSONDecodeError as exc:
         raise ExprSyntaxError(f"invalid JSON: {exc.msg}",
                               exc.lineno, exc.colno) from exc
+    except ValueError:
+        # json raises it for an integer past Python's digit limit
+        raise RecordError(
+            "record holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise RecordError("record nests too deeply") from None
     if not isinstance(rec, dict):
         raise RecordError("record must be a JSON object")
     return rec
 
 
 def load_record(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise ExprSyntaxError(
+            "record is not UTF-8 text", head.count("\n") + 1,
+            len(head) - head.rfind("\n")) from None
+    return _loads(text)
 
 
 def _expect(rec, schema):

@@ -24,6 +24,7 @@ every generator or pinpoints the first failing grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .automorphism import (
     AutomorphismData,
@@ -32,7 +33,7 @@ from .automorphism import (
     linear_part,
     log_automorphism,
 )
-from .elements import WeylElement
+from .elements import WeylElement, _acc_add
 from .errors import (
     ClosednessError,
     HbarScaleError,
@@ -42,7 +43,7 @@ from .errors import (
     ResidualMismatchError,
     SingularMatrixError,
 )
-from .scalars import _Q, G_ONE
+from .scalars import G_ONE
 from .symplectic import SympMatrix, _linear_forms, is_symplectic, pullback
 
 
@@ -87,15 +88,9 @@ def poincare_integrate(dv):
             m = sum(e)
             exps = list(e)
             exps[k] += 1
-            key = (h, tuple(exps))
-            q = _Q(1, m + 1)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = (re * q, im * q)
-            else:
-                acc[key] = (cur[0] + re * q, cur[1] + im * q)
-    s = WeylElement._from_raw(
-        lifted, {k: v for k, v in acc.items() if v[0] or v[1]})
+            q = Fraction(1, m + 1)
+            _acc_add(acc, (h, tuple(exps)), re * q, im * q)
+    s = WeylElement._from_acc(lifted, acc)
     for k in range(n):
         if s.partial(k) != g[k]:
             raise ClosednessError(

@@ -1,46 +1,32 @@
 """Exact Gaussian-rational scalars.
 
 Every coefficient in the engine is a + b*i with a, b rational, held exactly.
-Floats are rejected at construction. The rational backend is gmpy2.mpq when
-importable (about an order of magnitude faster), else fractions.Fraction;
-both keep values reduced with positive denominators, compare equal across
-backends, and hash per the numeric tower, so nothing downstream cares which
-one is active.
+Floats are rejected at construction. The rational type is
+fractions.Fraction, which keeps values reduced with positive denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-    BACKEND = "fractions"
+BACKEND = "fractions"
 
-QZERO = _Q(0)
-QONE = _Q(1)
+QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 def rational(num=0, den=1):
-    """Exact rational from ints, a backend rational, a Fraction, or 'a/b' text."""
+    """Exact rational from ints, a Fraction, or 'a/b' text."""
     if den != 1:
-        if isinstance(num, float) or isinstance(den, float):
-            raise TypeError("floats are not exact; pass ints or rationals")
-        return _Q(num) / _Q(den)
+        return _coerce(num) / _coerce(den)
     return _coerce(num)
 
 
 def _coerce(v):
-    if type(v) is _Q:
+    if type(v) is Fraction:
         return v
-    if isinstance(v, int):
-        return _Q(v)
-    if isinstance(v, (Fraction, _Q)):
-        return _Q(v.numerator) / _Q(v.denominator)
-    if isinstance(v, str):
-        return _Q(v)
+    if isinstance(v, (int, Fraction, str)):
+        return Fraction(v)
     raise TypeError(f"cannot build an exact rational from {type(v).__name__}")
 
 
@@ -58,7 +44,7 @@ class GaussianRational:
 
     @classmethod
     def _wrap(cls, re, im):
-        # internal: re/im are already backend rationals
+        # internal: re/im are already Fractions
         self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -172,9 +158,7 @@ class GaussianRational:
 def _as_gaussian(v):
     if isinstance(v, GaussianRational):
         return v
-    if isinstance(v, int):
-        return GaussianRational._wrap(_Q(v), QZERO)
-    if isinstance(v, (Fraction, _Q)) or type(v) is _Q:
+    if isinstance(v, (int, Fraction)):
         return GaussianRational._wrap(_coerce(v), QZERO)
     return NotImplemented
 

@@ -33,13 +33,12 @@ pairs, never single combinations.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as _iproduct
 
-from .elements import Context, WeylElement, _require_same_ctx, _require_same_dim
+from .elements import WeylElement, _acc_add, _require_same_ctx, _require_same_dim
 from .errors import InternalError
-from .scalars import QONE, QZERO, _Q
-
-_TWO = _Q(2)
+from .scalars import QONE, QZERO
 
 # (-i/2)^j as (re, im) pairs, extended on demand
 _IHALF = [(QONE, QZERO)]
@@ -47,17 +46,9 @@ _IHALF = [(QONE, QZERO)]
 
 def _ihalf(j):
     while len(_IHALF) <= j:
-        n = len(_IHALF)
-        half = QONE / (_TWO ** n)
-        m = n % 4
-        if m == 0:
-            _IHALF.append((half, QZERO))
-        elif m == 1:
-            _IHALF.append((QZERO, -half))
-        elif m == 2:
-            _IHALF.append((-half, QZERO))
-        else:
-            _IHALF.append((QZERO, half))
+        # (re + i*im) * (-i/2) = im/2 - i*re/2
+        re, im = _IHALF[-1]
+        _IHALF.append((im / 2, -re / 2))
     return _IHALF[j]
 
 
@@ -77,16 +68,11 @@ def _ff(n, k):
     return f
 
 
-def _acc_add(acc, key, re, im):
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = (re, im)
-    else:
-        acc[key] = (cur[0] + re, cur[1] + im)
-
-
 def _moyal_raw(buckets_a, buckets_b, d, cutoff):
-    """Star product of bucketed raw term maps, keeping grades <= cutoff."""
+    """Star product of bucketed raw term maps, keeping grades <= cutoff.
+
+    Returns the accumulator, zero entries included.
+    """
     acc = {}
     for ga, items_a in buckets_a.items():
         for gb, items_b in buckets_b.items():
@@ -103,32 +89,24 @@ def _moyal_raw(buckets_a, buckets_b, d, cutoff):
                         _linear_pair(acc, d, k, h2, e2, pre, pim)
                     else:
                         _general_pair(acc, d, h1, e1, h2, e2, pre, pim)
-    return {k: v for k, v in acc.items() if v[0] or v[1]}
+    return acc
 
 
 def _linear_pair(acc, d, k, h2, e2, pre, pim):
     # left factor is the bare variable z_k: only j = 0 and j = 1 survive
     ek = e2[k]
-    key = (h2, e2[:k] + (ek + 1,) + e2[k + 1:])
-    _acc_add(acc, key, pre, pim)
+    _acc_add(acc, (h2, e2[:k] + (ek + 1,) + e2[k + 1:]), pre, pim)
+    # the j=1 term is -(hbar/2i) d_xi_p b for x_p * b and +(hbar/2i) d_x_p b
+    # for xi_p * b: times s*n*i/2, s = 1 for an x pivot and -1 for xi
     if k < d:
-        # x_p * b: j=1 term is -(hbar/2i) d_xi_p b
-        q = k + d
-        n = e2[q]
-        if n:
-            key = (h2 + 1, e2[:q] + (n - 1,) + e2[q + 1:])
-            half = _Q(n, 2)
-            # times +i/2 * n
-            _acc_add(acc, key, -pim * half, pre * half)
+        q, sign = k + d, 1
     else:
-        # xi_p * b: j=1 term is +(hbar/2i) d_x_p b
-        q = k - d
-        n = e2[q]
-        if n:
-            key = (h2 + 1, e2[:q] + (n - 1,) + e2[q + 1:])
-            half = _Q(n, 2)
-            # times -i/2 * n
-            _acc_add(acc, key, pim * half, -pre * half)
+        q, sign = k - d, -1
+    n = e2[q]
+    if n:
+        half = Fraction(sign * n, 2)
+        _acc_add(acc, (h2 + 1, e2[:q] + (n - 1,) + e2[q + 1:]),
+                 -pim * half, pre * half)
 
 
 def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
@@ -166,7 +144,7 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
             if not jp:
                 continue
             tre, tim = _ihalf(jp)
-            q = _Q(num, den) if den != 1 else num
+            q = Fraction(num, den) if den != 1 else num
             es = list(base)
             es[p] -= jp
             es[d + p] -= jp
@@ -186,7 +164,7 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
             if not j:
                 continue
             tre, tim = _ihalf(j)
-            q = _Q(num, den) if den != 1 else num
+            q = Fraction(num, den) if den != 1 else num
             es = list(base)
             for jp, _dn, p, _nm in combo:
                 if jp:
@@ -200,8 +178,8 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
 def moyal(a, b):
     """Star product in the shared context."""
     _require_same_ctx(a, b)
-    raw = _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc)
-    return WeylElement._from_raw(a.ctx, raw)
+    return WeylElement._from_acc(
+        a.ctx, _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc))
 
 
 def poisson(a, b):
@@ -215,34 +193,31 @@ def poisson(a, b):
 
 
 def _commutator_raw(a, b, cutoff):
-    """Raw terms of a * b - b * a up to grade cutoff, zeros dropped."""
+    """Accumulator of a * b - b * a up to grade cutoff, zero entries included."""
     d = a.ctx.dim
-    raw = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
+    acc = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
     for k, (re, im) in _moyal_raw(b._buckets(), a._buckets(), d, cutoff).items():
-        _acc_add(raw, k, -re, -im)
-    return {k: v for k, v in raw.items() if v[0] or v[1]}
+        _acc_add(acc, k, -re, -im)
+    return acc
 
 
 def commutator(a, b):
     """Star commutator a * b - b * a."""
     _require_same_ctx(a, b)
-    return WeylElement._from_raw(a.ctx, _commutator_raw(a, b, a.ctx.trunc))
+    return WeylElement._from_acc(a.ctx, _commutator_raw(a, b, a.ctx.trunc))
 
 
 def scaled_bracket(a, b):
     """(i/hbar)[a, b]: exact, grade m+n-2, result trunc = min of operands."""
     _require_same_dim(a, b)
-    trunc = min(a.ctx.trunc, b.ctx.trunc)
-    out = {}
-    # the bracket peeks two grades above the quotient
-    for (h, e), (re, im) in _commutator_raw(a, b, trunc + 2).items():
-        if h == 0:
-            raise InternalError(
-                "commutator produced a term without an hbar factor; "
-                "star-product kernel is broken")
-        # multiply by i and divide one power of hbar
-        out[(h - 1, e)] = (-im, re)
-    ctx = a.ctx if a.ctx.trunc == trunc else b.ctx
-    if ctx.trunc != trunc:
-        ctx = Context(a.ctx.dim, trunc)
-    return WeylElement._from_raw(ctx, out)
+    ctx = a.ctx if a.ctx.trunc <= b.ctx.trunc else b.ctx
+    # the bracket peeks two grades above the quotient; each term is
+    # multiplied by i and divided by one power of hbar
+    out = WeylElement._from_acc(ctx, {
+        (h - 1, e): (-im, re)
+        for (h, e), (re, im) in _commutator_raw(a, b, ctx.trunc + 2).items()})
+    if any(h < 0 for h, _e in out._raw):
+        raise InternalError(
+            "commutator produced a term without an hbar factor; "
+            "star-product kernel is broken")
+    return out

@@ -10,12 +10,12 @@ apart. With this engine's bracket convention J = [[0, -I], [I, 0]].
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .automorphism import AutomorphismData
-from .elements import Context, WeylElement, MIN_TRUNC
+from .elements import Context, WeylElement, MIN_TRUNC, _acc_add
 from .errors import ContextError, NotConformalError, NotSymplecticError, SingularMatrixError
-from .scalars import _Q, G_ONE, G_ZERO, GaussianRational, rational
-from .star import _acc_add
+from .scalars import G_ONE, G_ZERO, GaussianRational, rational
 
 _J_CACHE = {}
 
@@ -265,14 +265,13 @@ def pullback(m, a):
     scale = [den]
     out = {}
     for key, (re, im) in subst(terms, 0).items():
-        if not (re or im):
-            continue
         exps = tuple((key >> (width * l)) & mask for l in range(n))
         deg = sum(exps)
         while len(scale) <= deg:
             scale.append(scale[-1] * delta)
-        out[(key >> hshift, exps)] = (_Q(re, scale[deg]), _Q(im, scale[deg]))
-    return WeylElement._from_raw(ctx, out)
+        out[(key >> hshift, exps)] = (Fraction(re, scale[deg]),
+                                      Fraction(im, scale[deg]))
+    return WeylElement._from_acc(ctx, out)
 
 
 def pullback_automorphism(m, ctx):

@@ -93,6 +93,9 @@ def test_expression_error_exit_codes(capsys):
     assert main(["star", "x1 +", "p1"]) == 2
     assert main(["star", "x9", "p1"]) == 2
     assert main(["star", "x1^9999999", "p1"]) == 2
+    for text in ("x1\u00b2", "\u00b2", "x1^\u00b2", "\u0661+x1", "1" * 5000,
+                 "(" * 300 + "x1" + ")" * 300):
+        assert main(["star", text, "1"]) == 2
     capsys.readouterr()
 
 

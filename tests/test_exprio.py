@@ -30,6 +30,7 @@ from weylalg import (
     parse_scalar,
     save_record,
 )
+from weylalg.exprio import MAX_NESTING
 from weylalg.sampling import random_element, random_instance
 from weylalg.symplectic import random_symplectic_rng
 
@@ -57,6 +58,10 @@ from weylalg.symplectic import random_symplectic_rng
     ("x1*x1", "x1^2"),
     ("h*h*h", "h^3"),
     ("0*x1 + p1", "p1"),
+    pytest.param("-" * 1200 + "x1", "x1", id="1200-unary-minuses"),
+    pytest.param("-" * 1201 + "x1*p1", "-x1*p1", id="1201-unary-minuses"),
+    pytest.param("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "x1",
+                 id="nesting-at-bound"),
 ])
 def test_parse_and_canonical_print(text, want, ctx1):
     assert format_element(parse_element(text, ctx1)) == want
@@ -90,6 +95,17 @@ def test_parse_truncates(ctx1):
     ("foo", UnknownVariableError, (1, 1)),
     ("x1 $ p1", ExprSyntaxError, (1, 4)),
     ("x1^2000000", ExponentOverflowError, (1, 4)),
+    ("x1\u00b2", ExprSyntaxError, (1, 3)),
+    ("\u00b2", ExprSyntaxError, (1, 1)),
+    ("x1^\u00b2", ExprSyntaxError, (1, 4)),
+    ("\u0661+x1", ExprSyntaxError, (1, 1)),
+    pytest.param("1" * 5000, ExprSyntaxError, (1, 1), id="5000-digit-literal"),
+    pytest.param("x1 + 1/" + "3" * 5000, ExprSyntaxError, (1, 6),
+                 id="5000-digit-denominator"),
+    pytest.param("x" + "0" * 5000 + "1", ExprSyntaxError, (1, 1),
+                 id="5000-digit-variable-index"),
+    pytest.param("(" * 300 + "x1" + ")" * 300, ExprSyntaxError,
+                 (1, MAX_NESTING + 1), id="300-nested-parentheses"),
 ])
 def test_parse_errors_with_position(text, exc, pos, ctx1):
     with pytest.raises(exc) as info:
@@ -191,6 +207,21 @@ def test_record_shape_errors(tmp_path):
         p2 = tmp_path / "list.json"
         p2.write_text("[1, 2, 3]")
         load_record(p2)
+    with pytest.raises(ExprSyntaxError) as info:
+        # bytes that are not UTF-8: positioned at the first bad byte
+        p3 = tmp_path / "latin1.json"
+        p3.write_bytes(b'{"schema":\n "caf\xe9"}')
+        load_record(p3)
+    assert (info.value.line, info.value.col) == (2, 6)
+    with pytest.raises(RecordError):
+        # an integer past Python's integer-conversion digit limit
+        p4 = tmp_path / "bigdim.json"
+        p4.write_text('{"dim": ' + "1" * 5000 + "}")
+        load_record(p4)
+    with pytest.raises(RecordError):
+        p5 = tmp_path / "deep.json"
+        p5.write_text("[" * 100000)
+        load_record(p5)
     with pytest.raises(RecordError):
         matrix_from_record({"schema": "symp-matrix/1", "dim": 1,
                             "trunc": None, "payload": {"entries": [["1"]]}})
