@@ -35,9 +35,11 @@ from .errors import (
     InternalError,
     InvalidImageError,
     KernelPreconditionError,
+    NotSymplecticError,
 )
 from .scalars import G_ONE, GaussianRational, QONE, QZERO
-from .star import _fact, _moyal_raw, commutator, moyal, poisson, scaled_bracket
+from .star import _fact, _moyal_raw, commutator, moyal, scaled_bracket
+from .symplectic import SympMatrix, is_symplectic, pullback, symplectic_form
 
 
 class _StarRecursionMap:
@@ -186,9 +188,20 @@ class AutomorphismData(_StarRecursionMap):
                           ctx.dim, ctx.trunc)
 
 
-def identity_automorphism(ctx):
+def pullback_automorphism(m, ctx):
+    """The automorphism z_k -> (Mz)_k; M must be symplectic.
+
+    The only place a matrix becomes an automorphism: its images are the
+    substitutions pullback(M, z_k), and its apply runs the star recursion.
+    """
+    if not is_symplectic(m):
+        raise NotSymplecticError("pullback automorphism needs M^T J M = J")
     return AutomorphismData(
-        ctx, [WeylElement.variable(ctx, k) for k in range(ctx.nvars)], G_ONE)
+        ctx, [pullback(m, WeylElement.variable(ctx, k)) for k in range(ctx.nvars)])
+
+
+def identity_automorphism(ctx):
+    return pullback_automorphism(SympMatrix.identity(ctx.dim), ctx)
 
 
 def linear_part(phi):
@@ -240,7 +253,7 @@ class MorphismReport:
                 f"{len(self.failures)} failure(s)>")
 
 
-def verify_morphism(phi, max_grade, max_failures=5):
+def verify_morphism(phi, max_grade):
     """Check star-multiplicativity of phi on basis monomials.
 
     Tests the canonical commutation relations on generator pairs, then
@@ -252,15 +265,15 @@ def verify_morphism(phi, max_grade, max_failures=5):
     if not 0 <= max_grade <= ctx.trunc:
         raise ContextError("max_grade must lie between 0 and the truncation order")
     n = ctx.nvars
+    max_failures = 5
     failures = []
-    # generator relations: [G_k, G_l] = c * (hbar/i) {z_k, z_l}
-    zs = [WeylElement.variable(ctx, k) for k in range(n)]
+    # generator relations: [G_k, G_l] = c * (hbar/i) {z_k, z_l}, read from J
+    j = symplectic_form(ctx.dim)
     zeros = (0,) * n
     c = phi.hbar_scale
     for k in range(n):
         for l in range(k + 1, n):
-            jkl = poisson(zs[k], zs[l]).coefficient(0, zeros)
-            want_scalar = GaussianRational(0, -1) * c * jkl  # (1/i) = -i
+            want_scalar = GaussianRational(0, -1) * c * j[k][l]  # (1/i) = -i
             want = WeylElement.zero(ctx) if want_scalar.is_zero() else \
                 WeylElement.monomial(ctx, 1, zeros, want_scalar)
             got = commutator(phi.images[k], phi.images[l])

@@ -8,7 +8,8 @@ Exit codes:
     0   success
     1   internal error
     2   expression or JSON syntax error
-    3   bad record shape, schema, context parameters or negative counts
+    3   bad record shape, schema, context parameters or negative counts,
+        or a result coefficient past Python's 4,300-digit printing limit
     10  generator image outside the positive-grade ideal
     11  linear part not invertible
     12  linear part (or supplied matrix) not symplectic
@@ -24,25 +25,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
+from functools import partial
 
 from .elements import Context
-from .errors import (
-    ClosednessError,
-    ContextError,
-    ExprSyntaxError,
-    HbarScaleError,
-    InnerGeneratorError,
-    InvalidImageError,
-    KernelPreconditionError,
-    LinearPartNotInvertibleError,
-    LinearPartNotSymplecticError,
-    NotSymplecticError,
-    RecordError,
-    ResidualMismatchError,
-    SingularMatrixError,
-    WeylError,
-)
+from .errors import ContextError, WeylError
 from .exprio import (
     automorphism_record,
     dumps_record,
@@ -55,31 +43,11 @@ from .exprio import (
     save_record,
 )
 from .factorization import FactorizationResult, factor, verify_factorization
-from .sampling import random_instance, seeded
+from .sampling import random_instance
 from .star import moyal, poisson, scaled_bracket
 
 DEFAULT_MAX_GRADE = 8
 ENV_MAX_GRADE = "WEYL_MAX_GRADE"
-
-
-def _exit_code(exc):
-    if isinstance(exc, ExprSyntaxError):
-        return 2
-    if isinstance(exc, (RecordError, ContextError)):
-        return 3
-    if isinstance(exc, (InvalidImageError, InnerGeneratorError)):
-        return 10
-    if isinstance(exc, (LinearPartNotInvertibleError, SingularMatrixError)):
-        return 11
-    if isinstance(exc, (LinearPartNotSymplecticError, NotSymplecticError)):
-        return 12
-    if isinstance(exc, HbarScaleError):
-        return 13
-    if isinstance(exc, (ClosednessError, KernelPreconditionError)):
-        return 14
-    if isinstance(exc, ResidualMismatchError):
-        return 15
-    return 1
 
 
 def _default_max_grade():
@@ -110,22 +78,25 @@ def _build_parser(max_grade_default):
     out_flag.add_argument("--out", metavar="PATH",
                           help="also write the result as a record file")
 
-    for name, helptext in (
-            ("star", "star product of two expressions"),
-            ("poisson", "Poisson bracket of two expressions"),
-            ("bracket", "scaled commutator (i/hbar)[a, b]")):
+    for name, op, helptext in (
+            ("star", moyal, "star product of two expressions"),
+            ("poisson", poisson, "Poisson bracket of two expressions"),
+            ("bracket", scaled_bracket, "scaled commutator (i/hbar)[a, b]")):
         p = sub.add_parser(name, parents=[ctx_flags, out_flag], help=helptext)
         p.add_argument("lhs")
         p.add_argument("rhs")
+        p.set_defaults(func=partial(_cmd_binary, op=op))
 
     p = sub.add_parser("apply", parents=[out_flag],
                        help="apply an automorphism record to an expression")
     p.add_argument("automorphism", metavar="RECORD")
     p.add_argument("expr")
+    p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("factor", parents=[out_flag],
                        help="factor an automorphism record into linear x inner parts")
     p.add_argument("automorphism", metavar="RECORD")
+    p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("random-instance", parents=[ctx_flags],
                        help="generate a random factorization problem with its answer")
@@ -138,11 +109,13 @@ def _build_parser(max_grade_default):
                    help="allow Gaussian-rational coefficients")
     p.add_argument("--out", metavar="PATH", required=True,
                    help="automorphism record path; the answer goes to PATH.answer.json")
+    p.set_defaults(func=_cmd_random_instance)
 
     p = sub.add_parser("selftest", parents=[ctx_flags],
                        help="factor random known-answer instances and report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=5)
+    p.set_defaults(func=_cmd_selftest)
 
     return top
 
@@ -198,7 +171,7 @@ def _require_counts(args, *flags):
 def _cmd_random_instance(args):
     _require_counts(args, "steps", "terms")
     ctx = Context(args.dim, args.max_grade)
-    rng = seeded(args.seed)
+    rng = random.Random(args.seed)
     phi, m, s = random_instance(rng, ctx, steps=args.steps,
                                 generator_terms=args.terms,
                                 complex_scalars=args.complex)
@@ -216,7 +189,7 @@ def _cmd_random_instance(args):
 def _cmd_selftest(args):
     _require_counts(args, "cases")
     ctx = Context(args.dim, args.max_grade)
-    rng = seeded(args.seed)
+    rng = random.Random(args.seed)
     ok = 0
     for case in range(args.cases):
         phi, m, s = random_instance(rng, ctx)
@@ -233,21 +206,7 @@ def _cmd_selftest(args):
 def _run(argv):
     max_grade_default = _default_max_grade()
     args = _build_parser(max_grade_default).parse_args(argv)
-    if args.command == "star":
-        return _cmd_binary(args, moyal)
-    if args.command == "poisson":
-        return _cmd_binary(args, poisson)
-    if args.command == "bracket":
-        return _cmd_binary(args, scaled_bracket)
-    if args.command == "apply":
-        return _cmd_apply(args)
-    if args.command == "factor":
-        return _cmd_factor(args)
-    if args.command == "random-instance":
-        return _cmd_random_instance(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.func(args)
 
 
 def main(argv=None):
@@ -255,7 +214,7 @@ def main(argv=None):
         return _run(argv)
     except WeylError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

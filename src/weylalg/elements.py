@@ -47,9 +47,9 @@ class Context:
     def nvars(self):
         return 2 * self.dim
 
-    def lifted(self, by=1):
-        """Same dimension, truncation raised by `by` grades."""
-        return Context(self.dim, self.trunc + by)
+    def lifted(self):
+        """Same dimension, truncation raised by one grade."""
+        return Context(self.dim, self.trunc + 1)
 
     def variable_name(self, k):
         if not 0 <= k < self.nvars:

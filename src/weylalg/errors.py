@@ -1,16 +1,27 @@
 """Exception hierarchy for the engine.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps these onto documented exit codes.
+class. Each class carries the CLI's documented exit code as `exit_code`;
+a subclass inherits its parent's code unless it sets its own.
 """
 
 
 class WeylError(Exception):
     """Base class for all engine errors."""
 
+    exit_code = 1
+
 
 class ContextError(WeylError):
     """Operands built over different contexts, or invalid context parameters."""
+
+    exit_code = 3
+
+
+class OutputLimitError(WeylError):
+    """A result number too long to print: past Python's integer-to-text digit limit."""
+
+    exit_code = 3
 
 
 class InternalError(WeylError):
@@ -25,6 +36,8 @@ class ExprError(WeylError):
 
 class ExprSyntaxError(ExprError):
     """Malformed expression text. Carries a 1-based line and column."""
+
+    exit_code = 2
 
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
@@ -43,6 +56,8 @@ class ExponentOverflowError(ExprSyntaxError):
 class RecordError(WeylError):
     """A record file with the right syntax but the wrong shape or schema."""
 
+    exit_code = 3
+
 
 # matrices
 
@@ -53,9 +68,13 @@ class MatrixError(WeylError):
 class SingularMatrixError(MatrixError):
     """Matrix failed the exact invertibility check."""
 
+    exit_code = 11
+
 
 class NotSymplecticError(MatrixError):
     """M^T J M != J."""
+
+    exit_code = 12
 
 
 class NotConformalError(MatrixError):
@@ -71,17 +90,25 @@ class AutomorphismError(WeylError):
 class InvalidImageError(AutomorphismError):
     """A generator image has a grade-0 component (not in X_1)."""
 
+    exit_code = 10
+
 
 class HbarScaleError(AutomorphismError):
     """Operation requires hbar_scale = 1."""
+
+    exit_code = 13
 
 
 class KernelPreconditionError(AutomorphismError):
     """log/exp requires identity linear part (resp. images of grade >= 2)."""
 
+    exit_code = 14
+
 
 class InnerGeneratorError(AutomorphismError):
     """Inner automorphism generator must lie in X_3."""
+
+    exit_code = 10
 
 
 # factorization
@@ -91,16 +118,20 @@ class FactorizationError(WeylError):
 
 
 class LinearPartNotInvertibleError(FactorizationError):
-    pass
+    exit_code = 11
 
 
 class LinearPartNotSymplecticError(FactorizationError):
-    pass
+    exit_code = 12
 
 
 class ClosednessError(FactorizationError):
     """Gradient 1-form of the logarithm is not closed: input was not a morphism."""
 
+    exit_code = 14
+
 
 class ResidualMismatchError(FactorizationError):
     """Recomposed factorization does not reproduce the input (internal inconsistency)."""
+
+    exit_code = 15

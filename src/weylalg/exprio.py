@@ -42,7 +42,13 @@ from .errors import (
     RecordError,
     UnknownVariableError,
 )
-from .scalars import GaussianRational, QZERO, rational, scalar_to_string
+from .scalars import (
+    GaussianRational,
+    QZERO,
+    rational,
+    rational_to_string,
+    scalar_to_string,
+)
 from .symplectic import SympMatrix
 
 MAX_EXPONENT = 10 ** 6
@@ -274,7 +280,7 @@ def parse_scalar(text):
 
 def _frac_text(q):
     """q > 0 as text, parenthesized when it is a proper fraction."""
-    s = str(q)
+    s = rational_to_string(q)
     return s if q.denominator == 1 else f"({s})"
 
 
@@ -300,7 +306,7 @@ def format_element(e):
             neg = re < 0
             mag = -re if neg else re
             if not body:
-                term = str(mag)
+                term = rational_to_string(mag)
             elif mag == 1:
                 term = body
             else:
@@ -433,11 +439,16 @@ def _expect(rec, schema):
     return payload
 
 
-def _context_of(rec):
+def _dim_of(rec):
     dim = rec.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise RecordError("record field 'dim' must be a positive integer")
+    return dim
+
+
+def _context_of(rec):
+    dim = _dim_of(rec)
     trunc = rec.get("trunc")
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise RecordError("record field 'dim' must be an integer")
     if not isinstance(trunc, int) or isinstance(trunc, bool):
         raise RecordError("record field 'trunc' must be an integer")
     return Context(dim, trunc)
@@ -455,7 +466,7 @@ def _matrix_from_entries(entries, dim):
     if (not isinstance(entries, list) or len(entries) != 2 * dim
             or any(not isinstance(row, list) or len(row) != 2 * dim
                    for row in entries)):
-        raise RecordError(f"matrix entries must form a {2*dim}x{2*dim} grid")
+        raise RecordError("matrix entries must form a 2*dim x 2*dim grid")
     return SympMatrix(
         [[parse_scalar(v) if isinstance(v, str) else _bad_entry(v)
           for v in row] for row in entries])
@@ -467,10 +478,7 @@ def _bad_entry(v):
 
 def matrix_from_record(rec):
     payload = _expect(rec, SCHEMA_MATRIX)
-    dim = rec.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise RecordError("record field 'dim' must be a positive integer")
-    return _matrix_from_entries(payload.get("entries"), dim)
+    return _matrix_from_entries(payload.get("entries"), _dim_of(rec))
 
 
 def automorphism_from_record(rec):
@@ -478,8 +486,9 @@ def automorphism_from_record(rec):
     ctx = _context_of(rec)
     images = payload.get("images")
     if not isinstance(images, list) or len(images) != ctx.nvars:
+        # dim is unbounded here, so the message does not print it
         raise RecordError(
-            f"automorphism payload needs {ctx.nvars} image strings")
+            "automorphism payload needs 2*dim image strings")
     parsed = []
     for text in images:
         if not isinstance(text, str):
@@ -497,9 +506,7 @@ def automorphism_from_record(rec):
 def factorization_from_record(rec):
     """(matrix, generator) from a factorization record."""
     payload = _expect(rec, SCHEMA_FACTORIZATION)
-    dim = rec.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise RecordError("record field 'dim' must be a positive integer")
+    dim = _dim_of(rec)
     m = _matrix_from_entries(payload.get("matrix"), dim)
     gt = payload.get("generator_trunc")
     if not isinstance(gt, int) or isinstance(gt, bool):

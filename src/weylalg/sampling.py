@@ -8,21 +8,22 @@ arithmetic fast while still exercising carries and sign interplay.
 
 from __future__ import annotations
 
-import random
-
-from .automorphism import DerivationData, compose, inner_automorphism
-from .elements import Context, WeylElement
+from .automorphism import (
+    DerivationData,
+    compose,
+    inner_automorphism,
+    pullback_automorphism,
+)
+from .elements import WeylElement
 from .scalars import GaussianRational, rational
 from .star import scaled_bracket
-from .symplectic import pullback_automorphism, random_symplectic_rng
+from .symplectic import random_symplectic_rng
 
 
-def random_rational(rng, max_num=4, max_den=4, allow_zero=False):
-    if allow_zero:
-        num = rng.randint(-max_num, max_num)
-    else:
-        num = rng.choice([-1, 1]) * rng.randint(1, max_num)
-    return rational(num, rng.randint(1, max_den))
+def random_rational(rng):
+    """A nonzero rational, numerator and denominator at most 4 in size."""
+    num = rng.choice([-1, 1]) * rng.randint(1, 4)
+    return rational(num, rng.randint(1, 4))
 
 
 def random_scalar(rng, complex_scalars=False):
@@ -103,7 +104,3 @@ def random_instance(rng, ctx, steps=8, generator_terms=6,
                                complex_scalars=complex_scalars)
     phi = compose(pullback_automorphism(m, ctx), inner_automorphism(s, ctx))
     return phi, m, s
-
-
-def seeded(seed):
-    return random.Random(seed)

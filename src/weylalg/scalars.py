@@ -7,7 +7,10 @@ fractions.Fraction, which keeps values reduced with positive denominators.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+from .errors import OutputLimitError
 
 BACKEND = "fractions"
 
@@ -163,8 +166,19 @@ def _as_gaussian(v):
     return NotImplemented
 
 
+def rational_to_string(q):
+    """str(q); OutputLimitError when a part is past Python's digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        raise OutputLimitError(
+            "a coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+            "printing an integer") from None
+
+
 def _imag_text(mag):
-    return "i" if mag == 1 else f"{mag}*i"
+    return "i" if mag == 1 else f"{rational_to_string(mag)}*i"
 
 
 def scalar_to_string(c):
@@ -172,13 +186,13 @@ def scalar_to_string(c):
     if c.is_zero():
         return "0"
     if not c.im:
-        return str(c.re)
+        return rational_to_string(c.re)
     if not c.re:
         if c.im < 0:
             return "-" + _imag_text(-c.im)
         return _imag_text(c.im)
     sign = "-" if c.im < 0 else "+"
-    return f"{c.re}{sign}{_imag_text(abs(c.im))}"
+    return f"{rational_to_string(c.re)}{sign}{_imag_text(abs(c.im))}"
 
 
 G_ZERO = GaussianRational(0)

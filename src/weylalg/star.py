@@ -139,40 +139,27 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
         lists.append(lst)
 
     hbase = h1 + h2
-    if len(lists) == 1:
-        for jp, den, p, num in lists[0]:
-            if not jp:
-                continue
-            tre, tim = _ihalf(jp)
-            q = Fraction(num, den) if den != 1 else num
-            es = list(base)
-            es[p] -= jp
-            es[d + p] -= jp
-            key = (hbase + jp, tuple(es))
-            _acc_add(acc, key, (pre * tre - pim * tim) * q,
-                     (pre * tim + pim * tre) * q)
-    else:
-        for combo in _iproduct(*lists):
-            j = 0
-            num = 1
-            den = 1
-            for jp, dn, _p, nm in combo:
-                if jp:
-                    j += jp
-                    num *= nm
-                    den *= dn
-            if not j:
-                continue
-            tre, tim = _ihalf(j)
-            q = Fraction(num, den) if den != 1 else num
-            es = list(base)
-            for jp, _dn, p, _nm in combo:
-                if jp:
-                    es[p] -= jp
-                    es[d + p] -= jp
-            key = (hbase + j, tuple(es))
-            _acc_add(acc, key, (pre * tre - pim * tim) * q,
-                     (pre * tim + pim * tre) * q)
+    for combo in _iproduct(*lists):
+        j = 0
+        num = 1
+        den = 1
+        for jp, dn, _p, nm in combo:
+            if jp:
+                j += jp
+                num *= nm
+                den *= dn
+        if not j:
+            continue
+        tre, tim = _ihalf(j)
+        q = Fraction(num, den) if den != 1 else num
+        es = list(base)
+        for jp, _dn, p, _nm in combo:
+            if jp:
+                es[p] -= jp
+                es[d + p] -= jp
+        key = (hbase + j, tuple(es))
+        _acc_add(acc, key, (pre * tre - pim * tim) * q,
+                 (pre * tim + pim * tre) * q)
 
 
 def moyal(a, b):

@@ -105,6 +105,16 @@ def test_context_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_printing_limit_exit_code(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    assert main(["star", "2^20000", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(sys.get_int_max_str_digits()) in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag", [
     ("random-instance", "--steps"),
     ("random-instance", "--terms"),

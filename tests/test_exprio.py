@@ -231,6 +231,11 @@ def test_record_shape_errors(tmp_path):
     with pytest.raises(RecordError):
         element_from_record({"schema": "weyl-element/1", "dim": "one",
                              "trunc": 8, "payload": {"expr": "x1"}})
+    with pytest.raises(RecordError):
+        # 2*dim has 4,301 digits, too many to print in the message
+        automorphism_from_record({"schema": "automorphism/1",
+                                  "dim": int("9" * 4300), "trunc": 8,
+                                  "payload": {"images": []}})
 
 
 def test_dumps_record_is_sorted_and_indented():

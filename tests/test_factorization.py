@@ -10,6 +10,7 @@ from weylalg import (
     HbarScaleError,
     LinearPartNotInvertibleError,
     LinearPartNotSymplecticError,
+    NotSymplecticError,
     ResidualMismatchError,
     SympMatrix,
     WeylElement,
@@ -148,6 +149,8 @@ def test_verify_factorization_wrong_matrix(rng, ctx1):
     rep = verify_factorization(phi, other, s)
     assert not rep.passed
     assert rep.first_failure().first_mismatch_grade == 1
+    with pytest.raises(NotSymplecticError):
+        verify_factorization(phi, SympMatrix([[1, 0], [0, 2]]), s)
 
 
 def test_factor_composed_order_conjugates_generator(rng, ctx1):
