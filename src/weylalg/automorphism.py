@@ -152,9 +152,6 @@ class _StarRecursionMap:
                              re * r2 - im * i2, re * i2 + im * r2)
         return WeylElement._from_acc(self.ctx, acc)
 
-    def __call__(self, a):
-        return self.apply(a)
-
     def __repr__(self):
         ims = ", ".join(
             f"{self.ctx.variable_name(k)} -> {im}"
@@ -300,19 +297,6 @@ def verify_morphism(phi, max_grade):
     return MorphismReport(not failures, failures, pairs)
 
 
-def is_real(phi):
-    """True if every image has real coefficients on all hbar-free terms.
-
-    Terms carrying hbar may be imaginary: the reality convention pairs each
-    factor of hbar with a factor of i.
-    """
-    for im in phi.images:
-        for (h, _e), (_re, c_im) in im._raw.items():
-            if h == 0 and c_im:
-                return False
-    return True
-
-
 def _inv_factorial(m):
     return Fraction(1, _fact(m))
 
@@ -414,12 +398,7 @@ def log_automorphism(phi):
         raise KernelPreconditionError("log requires hbar scale 1")
     diffs = [phi.images[k] - WeylElement.variable(ctx, k)
              for k in range(ctx.nvars)]
-    for k, diff in enumerate(diffs):
-        lg = diff.lowest_grade()
-        if lg is not None and lg < 2:
-            raise KernelPreconditionError(
-                "log requires identity linear part; image of "
-                f"{ctx.variable_name(k)} differs at grade {lg}")
+    _require_kernel_images(ctx, diffs, "log (phi - id)")
     images = [_series(diff, lambda cur: phi.apply(cur) - cur,
                       lambda m: Fraction(-1 if m % 2 else 1, m + 1))
               for diff in diffs]

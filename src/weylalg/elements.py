@@ -66,9 +66,6 @@ class Monomial(NamedTuple):
     def grade(self):
         return 2 * self.hpow + sum(self.exps)
 
-    def zdegree(self):
-        return sum(self.exps)
-
 
 def _key_grade(key):
     return 2 * key[0] + sum(key[1])
@@ -196,19 +193,6 @@ class WeylElement:
 
     def grades(self):
         return sorted({_key_grade(k) for k in self._raw})
-
-    def project(self, n):
-        """Grade-n homogeneous component."""
-        raw = {k: v for k, v in self._raw.items() if _key_grade(k) == n}
-        return WeylElement._from_raw(self.ctx, raw)
-
-    def truncated(self, new_trunc):
-        """Copy in a context with truncation new_trunc, dropping high grades."""
-        ctx = Context(self.ctx.dim, new_trunc)
-        if new_trunc >= self.ctx.trunc:
-            return WeylElement._from_raw(ctx, dict(self._raw))
-        raw = {k: v for k, v in self._raw.items() if _key_grade(k) <= new_trunc}
-        return WeylElement._from_raw(ctx, raw)
 
     def _buckets(self):
         """Terms grouped by grade: {grade: [(key, (re, im)), ...]}. Cached."""

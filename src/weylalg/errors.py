@@ -77,10 +77,6 @@ class NotSymplecticError(MatrixError):
     exit_code = 12
 
 
-class NotConformalError(MatrixError):
-    """M^T J M is not a scalar multiple of J."""
-
-
 # automorphisms
 
 class AutomorphismError(WeylError):

@@ -23,9 +23,9 @@ returns a termwise-identical element, and formatting a parsed canonical
 string is the identity on text.
 
 Records are JSON objects {"schema", "dim", "trunc", "payload"} with the
-schema tags weyl-element/1, symp-matrix/1, automorphism/1 and
-factorization/1; serialization is byte-deterministic (sorted keys,
-two-space indent, trailing newline).
+schema tags weyl-element/1, automorphism/1 and factorization/1;
+serialization is byte-deterministic (sorted keys, two-space indent,
+trailing newline).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ MAX_EXPONENT = 10 ** 6
 MAX_NESTING = 100
 
 SCHEMA_ELEMENT = "weyl-element/1"
-SCHEMA_MATRIX = "symp-matrix/1"
 SCHEMA_AUTOMORPHISM = "automorphism/1"
 SCHEMA_FACTORIZATION = "factorization/1"
 
@@ -339,17 +338,6 @@ def element_record(e):
     }
 
 
-def matrix_record(m):
-    return {
-        "schema": SCHEMA_MATRIX,
-        "dim": m.dim,
-        "trunc": None,
-        "payload": {
-            "entries": [[scalar_to_string(v) for v in row] for row in m.rows],
-        },
-    }
-
-
 def automorphism_record(phi):
     return {
         "schema": SCHEMA_AUTOMORPHISM,
@@ -474,11 +462,6 @@ def _matrix_from_entries(entries, dim):
 
 def _bad_entry(v):
     raise RecordError(f"matrix entry must be a string, got {type(v).__name__}")
-
-
-def matrix_from_record(rec):
-    payload = _expect(rec, SCHEMA_MATRIX)
-    return _matrix_from_entries(payload.get("entries"), _dim_of(rec))
 
 
 def automorphism_from_record(rec):

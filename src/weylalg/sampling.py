@@ -8,15 +8,9 @@ arithmetic fast while still exercising carries and sign interplay.
 
 from __future__ import annotations
 
-from .automorphism import (
-    DerivationData,
-    compose,
-    inner_automorphism,
-    pullback_automorphism,
-)
+from .automorphism import compose, inner_automorphism, pullback_automorphism
 from .elements import WeylElement
 from .scalars import GaussianRational, rational
-from .star import scaled_bracket
 from .symplectic import random_symplectic_rng
 
 
@@ -74,21 +68,6 @@ def random_inner_generator(rng, ctx, terms, complex_scalars=False):
     return random_element(
         rng, lifted, terms, min_grade=3, max_grade=lifted.trunc,
         complex_scalars=complex_scalars, require_z=True)
-
-
-def random_kernel_derivation(rng, ctx, terms=3, complex_scalars=False):
-    """The bracket derivation (i/hbar)[S, .] of a random generator in X_3.
-
-    Images land in X_2 with grades <= trunc - 1. Arbitrary image
-    assignments would not satisfy the Leibniz constraint on the canonical
-    relations; bracket derivations always do, so exp and log round-trip
-    exactly on these.
-    """
-    s = random_inner_generator(rng, ctx, rng.randint(1, terms),
-                               complex_scalars)
-    images = [scaled_bracket(s, WeylElement.variable(ctx, k))
-              for k in range(ctx.nvars)]
-    return DerivationData(ctx, images)
 
 
 def random_instance(rng, ctx, steps=8, generator_terms=6,

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .elements import Context, WeylElement, MIN_TRUNC, _acc_add
-from .errors import ContextError, NotConformalError, SingularMatrixError
+from .errors import ContextError, SingularMatrixError
 from .scalars import G_ONE, G_ZERO, GaussianRational, rational
 from .star import poisson
 
@@ -73,9 +73,6 @@ class SympMatrix:
 
     def inverse(self):
         return SympMatrix(self._inv)
-
-    def transpose(self):
-        return SympMatrix(tuple(zip(*self.rows)))
 
     def __matmul__(self, other):
         if not isinstance(other, SympMatrix):
@@ -145,42 +142,18 @@ def _invert(rows):
     return tuple(tuple(r) for r in inv)
 
 
-def _form_product(m):
-    """M^T J M as plain nested tuples."""
+def is_symplectic(m):
+    """M^T J M = J, exactly."""
     j = symplectic_form(m.dim)
     n = 2 * m.dim
     jm = tuple(
         tuple(_dot(j[r], tuple(m.rows[k][c] for k in range(n))) for c in range(n))
         for r in range(n))
-    return tuple(
+    form = tuple(
         tuple(_dot(tuple(m.rows[k][r] for k in range(n)), tuple(jm[k][c] for k in range(n)))
               for c in range(n))
         for r in range(n))
-
-
-def is_symplectic(m):
-    """M^T J M = J, exactly."""
-    return _form_product(m) == symplectic_form(m.dim)
-
-
-def conformal_factor(m):
-    """The scalar c with M^T J M = c J; NotConformalError if there is none."""
-    p = _form_product(m)
-    j = symplectic_form(m.dim)
-    c = None
-    n = 2 * m.dim
-    for r in range(n):
-        for s in range(n):
-            if not j[r][s].is_zero():
-                c = p[r][s] / j[r][s]
-                break
-        if c is not None:
-            break
-    for r in range(n):
-        for s in range(n):
-            if p[r][s] != c * j[r][s]:
-                raise NotConformalError("M^T J M is not proportional to J")
-    return c
+    return form == j
 
 
 def _require_matrix_dim(m, ctx):

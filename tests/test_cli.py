@@ -144,6 +144,20 @@ def test_zero_hbar_scale_record(command, tmp_path, capsys):
     assert "hbar_scale" in captured.err
 
 
+def test_huge_hbar_scale_record(tmp_path, capsys):
+    # the scale is past the printing limit, but the error is still exit 13
+    rec = json.loads((FIXTURES / "hbar_scale.json").read_text())
+    rec["payload"]["hbar_scale"] = "2^20000"
+    rec["payload"]["images"] = ["x1", "p1"]
+    path = tmp_path / "huge_scale.json"
+    path.write_text(json.dumps(rec))
+    assert main(["factor", str(path)]) == 13
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot factor: hbar scale has more than "
+                            f"{sys.get_int_max_str_digits()} digits, need 1\n")
+
+
 def test_missing_file(capsys):
     assert main(["factor", "/nonexistent/nope.json"]) == 1
     capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import weylalg
 from weylalg import (
     Context,
     ContextError,
@@ -24,6 +25,11 @@ def test_context_validation():
         Context(1, 3)  # below the minimum order the algebra degenerates
 
 
+def test_all_names_resolve_once():
+    assert len(set(weylalg.__all__)) == len(weylalg.__all__)
+    assert [n for n in weylalg.__all__ if not hasattr(weylalg, n)] == []
+
+
 def test_variable_names():
     ctx = Context(2, 8)
     assert [ctx.variable_name(k) for k in range(4)] == ["x1", "x2", "p1", "p2"]
@@ -34,7 +40,6 @@ def test_variable_names():
 def test_monomial_grade():
     m = Monomial(2, (1, 3))
     assert m.grade() == 2 * 2 + 4
-    assert m.zdegree() == 4
 
 
 def test_constructors(ctx1):
@@ -69,19 +74,14 @@ def test_grading_inspection(ctx1):
     assert e.lowest_grade() == 1
     assert e.max_grade() == 2
     assert e.grades() == [1, 2]
-    assert e.project(2) == x * x + WeylElement.hbar(ctx1)
-    assert e.project(5).is_zero()
 
 
-def test_truncation(ctx1):
-    x = WeylElement.variable(ctx1, 0)
-    e = (WeylElement.one(ctx1) + x) ** 8
-    low = e.truncated(4)
-    assert low.ctx.trunc == 4
+def test_truncation():
+    ctx = Context(1, 4)
+    x = WeylElement.variable(ctx, 0)
+    low = (WeylElement.one(ctx) + x) ** 8
     assert low.max_grade() == 4
     assert low.coefficient(0, (4, 0)) == GaussianRational(70)  # C(8,4)
-    # equality ignores truncation order, compares term maps
-    assert low == e.truncated(6).truncated(4)
 
 
 def test_equality_across_truncations(ctx1):

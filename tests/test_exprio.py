@@ -24,15 +24,12 @@ from weylalg import (
     format_element,
     inner_automorphism,
     load_record,
-    matrix_from_record,
-    matrix_record,
     parse_element,
     parse_scalar,
     save_record,
 )
 from weylalg.exprio import MAX_NESTING
 from weylalg.sampling import random_element, random_instance
-from weylalg.symplectic import random_symplectic_rng
 
 
 @pytest.mark.parametrize("text,want", [
@@ -155,12 +152,6 @@ def test_element_record_roundtrip(rng, ctx2):
     assert dumps_record(rec) == dumps_record(json.loads(dumps_record(rec)))
 
 
-def test_matrix_record_roundtrip(rng):
-    m = random_symplectic_rng(rng, 2, 5, complex_entries=True)
-    rec = matrix_record(m)
-    assert matrix_from_record(rec) == m
-
-
 def test_automorphism_record_roundtrip(rng, ctx2):
     phi, _, _ = random_instance(rng, ctx2, complex_scalars=True)
     rec = automorphism_record(phi)
@@ -223,8 +214,10 @@ def test_record_shape_errors(tmp_path):
         p5.write_text("[" * 100000)
         load_record(p5)
     with pytest.raises(RecordError):
-        matrix_from_record({"schema": "symp-matrix/1", "dim": 1,
-                            "trunc": None, "payload": {"entries": [["1"]]}})
+        factorization_from_record({"schema": "factorization/1", "dim": 1,
+                                   "trunc": 8, "payload": {
+                                       "matrix": [["1"]], "generator": "0",
+                                       "generator_trunc": 9}})
     with pytest.raises(RecordError):
         automorphism_from_record({"schema": "automorphism/1", "dim": 1,
                                   "trunc": 8, "payload": {"images": ["x1"]}})

@@ -14,7 +14,6 @@ from weylalg import (
     ResidualMismatchError,
     SympMatrix,
     WeylElement,
-    closedness_check,
     compose,
     dual_gradient,
     factor,
@@ -76,7 +75,7 @@ def test_factor_error_taxonomy(ctx1):
         factor(_auto(ctx1, "x1 + p1", "x1 + p1"))
     with pytest.raises(LinearPartNotSymplecticError):
         factor(_auto(ctx1, "x1", "2*p1"))
-    with pytest.raises(ClosednessError):
+    with pytest.raises(ClosednessError, match="at variable x1$"):
         factor(_auto(ctx1, "x1 + x1^3", "p1"))
 
 
@@ -106,7 +105,6 @@ def test_dual_gradient_and_closedness(rng, ctx2):
     s = random_inner_generator(rng, ctx2, 4, complex_scalars=True)
     phi = inner_automorphism(s, ctx2)
     dv = log_automorphism(phi)
-    assert closedness_check(dv)
     g = dual_gradient(dv)
     # defining relations: g matches the partials of the integrated S
     integrated = poincare_integrate(dv)
@@ -117,7 +115,6 @@ def test_dual_gradient_and_closedness(rng, ctx2):
 
 def test_closedness_detects_asymmetry(ctx1):
     dv = log_automorphism(_auto(ctx1, "x1 + x1^3", "p1"))
-    assert not closedness_check(dv)
     with pytest.raises(ClosednessError):
         poincare_integrate(dv)
 
