@@ -37,7 +37,7 @@ from .errors import (
     KernelPreconditionError,
     NotSymplecticError,
 )
-from .scalars import G_ONE, GaussianRational, QONE, QZERO
+from .scalars import G_MINUS_I, G_ONE, GaussianRational, QONE, QZERO
 from .star import _fact, _moyal_raw, commutator, moyal, scaled_bracket
 from .symplectic import SympMatrix, is_symplectic, pullback, symplectic_form
 
@@ -270,7 +270,7 @@ def verify_morphism(phi, max_grade):
     c = phi.hbar_scale
     for k in range(n):
         for l in range(k + 1, n):
-            want_scalar = GaussianRational(0, -1) * c * j[k][l]  # (1/i) = -i
+            want_scalar = G_MINUS_I * c * j[k][l]  # (1/i) = -i
             want = WeylElement.zero(ctx) if want_scalar.is_zero() else \
                 WeylElement.monomial(ctx, 1, zeros, want_scalar)
             got = commutator(phi.images[k], phi.images[l])

@@ -210,21 +210,12 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         _require_same_ctx(self, other)
-        # cancelled entries are deleted in place, not by a _from_acc pass
-        # over the whole copy: the parser folds a record's terms one sum
-        # at a time, so that pass would be quadratic in the record's size
-        raw = dict(self._raw)
+        acc = dict(self._raw)
         for k, (re, im) in other._raw.items():
             if negate:
                 re, im = -re, -im
-            cur = raw.get(k)
-            if cur is not None:
-                re, im = cur[0] + re, cur[1] + im
-                if not (re or im):
-                    del raw[k]
-                    continue
-            raw[k] = (re, im)
-        return WeylElement._from_raw(self.ctx, raw)
+            _acc_add(acc, k, re, im)
+        return WeylElement._from_acc(self.ctx, acc)
 
     def __add__(self, other):
         return self._sum(other, False)

@@ -31,11 +31,13 @@ trailing newline).
 from __future__ import annotations
 
 import json
+import re
 import sys
+from fractions import Fraction
 from string import ascii_letters, digits
 
 from .automorphism import AutomorphismData
-from .elements import Context, WeylElement
+from .elements import Context, WeylElement, _acc_add
 from .errors import (
     ExponentOverflowError,
     ExprSyntaxError,
@@ -43,9 +45,10 @@ from .errors import (
     UnknownVariableError,
 )
 from .scalars import (
+    G_I,
     GaussianRational,
+    QONE,
     QZERO,
-    rational,
     rational_to_string,
     scalar_to_string,
 )
@@ -61,218 +64,307 @@ SCHEMA_FACTORIZATION = "factorization/1"
 
 # tokenizer
 
-_OPS = "+-*^()"
+# A token after any whitespace: a natural with an optional "/ natural" (a
+# rational literal, whose second digits may be missing: an error), a name,
+# an operator, or any other character but whitespace (an error). Digits
+# and names are ASCII. The pattern is matched only up to the end of the
+# last token (_token_end): a search in trailing whitespace would backtrack
+# through all of it at every position, quadratic in its length.
+_SPACE = " \t\r\n"
+_TOKEN = re.compile(
+    r"[ \t\r\n]*([0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[A-Za-z][A-Za-z0-9_]*"
+    r"|[-+*^()]|[^ \t\r\n])")
 _DIGITS = frozenset(digits)
 _NAME_START = frozenset(ascii_letters)
-_NAME_CHARS = frozenset(ascii_letters + digits + "_")
+_END = ""       # the token after the last
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+def _kind(tok):
+    """A token's kind for messages: "num", "name", "end" or the operator."""
+    if tok == _END:
+        return "end"
+    if tok[0] in _DIGITS:
+        return "num"
+    return "name" if tok[0] in _NAME_START else tok
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind      # "num", "name", one of _OPS, "end"
-        self.value = value
-        self.line = line
-        self.col = col
+
+def _token_end(text):
+    """Offset just past the last character that is not whitespace."""
+    return len(text.rstrip(_SPACE))
 
 
-def _natural(text, line, col):
+def _position(text, idx):
+    """(line, column) of token idx of text, both counted from 1."""
+    offset = len(text)
+    for i, m in enumerate(_TOKEN.finditer(text, 0, _token_end(text))):
+        if i == idx:
+            offset = m.start(1)
+            break
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+def _natural(digit_text, text, idx):
     """int of an ASCII digit string; past Python's digit limit, a syntax error."""
     try:
-        return int(text)
+        return int(digit_text)
     except ValueError:
         raise ExprSyntaxError(
-            f"number of {len(text)} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()}", line, col) from None
+            f"number of {len(digit_text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}", *_position(text, idx)) from None
+
+
+def _number(tok, text, idx):
+    """The Fraction of a literal token such as "3" or "3 / 4"."""
+    num, slash, den = tok.partition("/")
+    if not slash:
+        return Fraction(_natural(tok, text, idx))
+    num = _natural(num.rstrip(" \t"), text, idx)
+    den = den.lstrip(" \t")
+    if not den:
+        raise ExprSyntaxError("expected digits after '/' in rational literal",
+                              *_position(text, idx))
+    den = _natural(den, text, idx)
+    if not den:
+        raise ExprSyntaxError("zero denominator", *_position(text, idx))
+    return Fraction(num, den)
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
+    """The token texts of text, then _END, and the literals' values.
 
-    def err(msg, l=None, c=None):
-        raise ExprSyntaxError(msg, l if l is not None else line,
-                              c if c is not None else col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            l0, c0 = line, col
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            num = _natural(text[i:j], l0, c0)
-            col += j - i
-            i = j
-            # lookahead for "/ digits" making a rational literal
-            k = i
-            saved_col = col
-            while k < n and text[k] in " \t":
-                k += 1
-            if k < n and text[k] == "/":
-                k += 1
-                while k < n and text[k] in " \t":
-                    k += 1
-                if k >= n or text[k] not in _DIGITS:
-                    err("expected digits after '/' in rational literal",
-                        l0, c0)
-                j = k
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                den = _natural(text[k:j], l0, c0)
-                if den == 0:
-                    err("zero denominator", l0, c0)
-                col = saved_col + (j - i)
-                i = j
-                tokens.append(_Token("num", rational(num, den), l0, c0))
-            else:
-                tokens.append(_Token("num", rational(num), l0, c0))
-            continue
-        if ch in _NAME_START:
-            l0, c0 = line, col
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], l0, c0))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {ch!r}")
-    tokens.append(_Token("end", None, line, col))
-    return tokens
+    values[k] is the Fraction of token k when it is a literal, else None.
+    Positions are found again from a token's index, for errors only.
+    """
+    tokens = _TOKEN.findall(text, 0, _token_end(text))
+    values = [None] * (len(tokens) + 1)
+    numbers = {}        # literal text -> Fraction; exponents repeat a lot
+    for idx, tok in enumerate(tokens):
+        c = tok[0]
+        if c in _DIGITS:
+            q = numbers.get(tok)
+            if q is None:
+                q = numbers[tok] = _number(tok, text, idx)
+            values[idx] = q
+        elif c not in _NAME_START and c not in "+-*^()":
+            raise ExprSyntaxError(f"unexpected character {c!r}",
+                                  *_position(text, idx))
+    tokens.append(_END)
+    return tokens, values
 
 
 # recursive-descent parser, evaluating on the fly
 
+_HBAR = -1      # the name marker of h, beside the variable indices
+
+
 class _Parser:
-    def __init__(self, tokens, ctx):
-        self.tokens = tokens
+    """Sums an expression into one accumulator while reading its tokens.
+
+    A product folds into one monomial: a coefficient cr + i*ci, an hbar
+    power and an exponent list. Grades only grow along a product, so
+    dropping the finished monomial past the truncation equals truncating
+    at every step. A parenthesised constant folds in as a scalar; only a
+    non-constant parenthesised factor goes through element products and
+    powers, left to right.
+    """
+
+    def __init__(self, text, tokens, ctx):
+        self.text = text
+        self.tokens, self.values = tokens
         self.pos = 0
         self.ctx = ctx
         self.depth = 0
+        self.names = {"h": _HBAR}       # variable name -> index, or _HBAR
+        self.unit_key = (0, (0,) * ctx.nvars)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def err(self, msg, tok=None, cls=ExprSyntaxError):
-        tok = tok or self.peek()
-        raise cls(msg, tok.line, tok.col)
+    def err(self, msg, pos, cls=ExprSyntaxError):
+        raise cls(msg, *_position(self.text, pos))
 
     def parse(self):
-        e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            self.err(f"unexpected {t.kind!r} after expression", t)
-        return e
+        acc = {}
+        self.expr(acc)
+        tok = self.tokens[self.pos]
+        if tok != _END:
+            self.err(f"unexpected {_kind(tok)!r} after expression", self.pos)
+        return WeylElement._from_acc(self.ctx, acc)
 
-    def expr(self):
-        e = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def term(self):
+    def expr(self, acc):
+        """Sums the terms of an expression into acc."""
+        tokens = self.tokens
         negate = False
-        while self.peek().kind == "-":
-            self.take()
-            negate = not negate
-        e = self.product()
-        return -e if negate else e
+        while True:
+            while tokens[self.pos] == "-":      # unary minus
+                self.pos += 1
+                negate = not negate
+            self.product(acc, negate)
+            tok = tokens[self.pos]
+            if tok == "+":
+                negate = False
+            elif tok == "-":
+                negate = True
+            else:
+                return
+            self.pos += 1
 
-    def product(self):
-        e = self.power()
-        while self.peek().kind == "*":
-            self.take()
-            e = e * self.power()
+    def product(self, acc, negate):
+        """Sums a product of powers, negated if asked, into acc."""
+        tokens, names = self.tokens, self.names
+        nvars = self.ctx.nvars
+        cr, ci = QONE, QZERO
+        hpow = 0
+        exps = [0] * nvars
+        elem = None         # the product so far, once a factor is an element
+        folded = False      # atoms in the monomial that elem does not hold
+        while True:
+            pos = self.pos
+            tok = tokens[pos]
+            self.pos = pos + 1
+            c = tok[:1]
+            if c in _NAME_START and tok != "i":
+                k = names.get(tok)
+                if k is None:
+                    k = self.variable(pos)
+                n = self.exponent()
+                n = 1 if n is None else n
+                if k == _HBAR:
+                    hpow += n
+                else:
+                    exps[k] += n
+                folded = True
+            else:
+                if c in _DIGITS:
+                    fr, fi = self.values[pos], QZERO
+                elif tok == "i":
+                    fr, fi = G_I.re, G_I.im
+                elif tok == "(":
+                    g = self.group(pos)
+                    if type(g) is tuple:
+                        fr, fi = g
+                    else:
+                        fr = None
+                else:
+                    self.err(f"expected a value, found {_kind(tok)!r}", pos)
+                n = self.exponent()
+                if fr is None:      # a non-constant group: element products
+                    if n is not None:
+                        g = g ** n
+                    if folded:
+                        m = self.monomial(cr, ci, hpow, exps)
+                        g = m * g if elem is None else elem * m * g
+                        cr, ci = QONE, QZERO
+                        hpow = 0
+                        exps = [0] * nvars
+                        folded = False
+                    elif elem is not None:
+                        g = elem * g
+                    elem = g
+                else:
+                    if n is not None:
+                        if fi:
+                            g = GaussianRational._wrap(fr, fi) ** n
+                            fr, fi = g.re, g.im
+                        else:
+                            fr = fr ** n
+                    if cr is QONE and not ci:   # the first scalar factor
+                        cr, ci = fr, fi
+                    elif fi or ci:
+                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
+                    else:
+                        cr = cr * fr
+                    folded = True
+            if tokens[self.pos] != "*":
+                break
+            self.pos += 1
+        if elem is None:
+            key = self.key(cr, ci, hpow, exps)
+            if key is not None:
+                if negate:
+                    cr, ci = -cr, -ci
+                _acc_add(acc, key, cr, ci)
+            return
+        if folded:
+            elem = elem * self.monomial(cr, ci, hpow, exps)
+        for key, (cr, ci) in elem._raw.items():
+            if negate:
+                cr, ci = -cr, -ci
+            _acc_add(acc, key, cr, ci)
+
+    def key(self, cr, ci, hpow, exps):
+        """A folded monomial's key; None when it is zero or truncated away."""
+        if (cr or ci) and 2 * hpow + sum(exps) <= self.ctx.trunc:
+            return hpow, tuple(exps)
+        return None
+
+    def monomial(self, cr, ci, hpow, exps):
+        """A folded monomial as an element."""
+        key = self.key(cr, ci, hpow, exps)
+        if key is None:
+            return WeylElement.zero(self.ctx)
+        return WeylElement._from_raw(self.ctx, {key: (cr, ci)})
+
+    def exponent(self):
+        """The natural after a "^" at the current token, or None."""
+        pos = self.pos
+        if self.tokens[pos] != "^":
+            return None
+        pos += 1
+        q = self.values[pos]
+        if q is None or q.denominator != 1:
+            self.err("exponent must be a natural number", pos)
+        n = q.numerator
+        if n > MAX_EXPONENT:
+            self.err(f"exponent {n} exceeds limit {MAX_EXPONENT}", pos,
+                     ExponentOverflowError)
+        self.pos = pos + 1
+        return n
+
+    def variable(self, pos):
+        """Index of the variable a name token holds; remembered by name."""
+        name = self.tokens[pos]
+        if len(name) >= 2 and name[0] in "xp" and name[1:].isdigit():
+            dim = self.ctx.dim
+            idx = _natural(name[1:], self.text, pos)
+            if not 1 <= idx <= dim:
+                self.err(f"variable {name!r} out of range for dimension {dim}",
+                         pos, UnknownVariableError)
+            k = self.names[name] = idx - 1 if name[0] == "x" else dim + idx - 1
+            return k
+        self.err(f"unknown identifier {name!r}", pos, UnknownVariableError)
+
+    def group(self, pos):
+        """The parenthesised expression opened at token pos.
+
+        Returns its (re, im) when it is a constant, else the element.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.err(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        acc = {}
+        self.expr(acc)
+        closing = self.pos
+        if self.tokens[closing] != ")":
+            self.err("expected ')'", closing)
+        self.pos = closing + 1
+        self.depth -= 1
+        e = WeylElement._from_acc(self.ctx, acc)
+        if e._raw.keys() <= {self.unit_key}:    # a constant, maybe zero
+            return e._raw.get(self.unit_key, (QZERO, QZERO))
         return e
-
-    def power(self):
-        e = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            t = self.peek()
-            if t.kind != "num":
-                self.err("exponent must be a natural number", t)
-            q = self.take().value
-            if q.denominator != 1:
-                self.err("exponent must be a natural number", t)
-            exp = int(q)
-            if exp > MAX_EXPONENT:
-                self.err(f"exponent {exp} exceeds limit {MAX_EXPONENT}",
-                         t, ExponentOverflowError)
-            e = e ** exp
-        return e
-
-    def atom(self):
-        t = self.take()
-        ctx = self.ctx
-        if t.kind == "num":
-            return WeylElement.scalar(ctx, GaussianRational(t.value))
-        if t.kind == "name":
-            name = t.value
-            if name == "i":
-                return WeylElement.scalar(ctx, GaussianRational(0, 1))
-            if name == "h":
-                return WeylElement.hbar(ctx)
-            if len(name) >= 2 and name[0] in "xp" and name[1:].isdigit():
-                idx = _natural(name[1:], t.line, t.col)
-                if not 1 <= idx <= ctx.dim:
-                    self.err(
-                        f"variable {name!r} out of range for dimension {ctx.dim}",
-                        t, UnknownVariableError)
-                k = idx - 1 if name[0] == "x" else ctx.dim + idx - 1
-                return WeylElement.variable(ctx, k)
-            self.err(f"unknown identifier {name!r}", t, UnknownVariableError)
-        if t.kind == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                self.err(f"parentheses nest deeper than {MAX_NESTING}", t)
-            e = self.expr()
-            closing = self.take()
-            if closing.kind != ")":
-                self.err("expected ')'", closing)
-            self.depth -= 1
-            return e
-        self.err(f"expected a value, found {t.kind!r}", t)
 
 
 def parse_element(text, ctx):
     """Evaluate an expression string in the given context, truncating."""
-    return _Parser(_tokenize(text), ctx).parse()
+    return _Parser(text, _tokenize(text), ctx).parse()
 
 
 def parse_scalar(text):
     """A Gaussian-rational constant; variables and hbar are rejected."""
     tokens = _tokenize(text)
     # checked before evaluation, whose truncation could drop h^3 or x1^5
-    if any(t.kind == "name" and t.value != "i" for t in tokens):
+    if any(t[:1] in _NAME_START and t != "i" for t in tokens[0]):
         raise RecordError(f"expected a scalar constant, got {text!r}")
-    return _Parser(tokens, Context(1, 4)).parse().coefficient(0, (0, 0))
+    return _Parser(text, tokens, Context(1, 4)).parse().coefficient(0, (0, 0))
 
 
 # canonical printing

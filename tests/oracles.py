@@ -9,8 +9,6 @@ conversion at the boundary.
 
 import sympy
 
-from weylalg import WeylElement
-
 HBAR = sympy.Symbol("hbar")
 
 

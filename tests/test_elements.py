@@ -1,5 +1,8 @@
 """Element construction, grading, truncation and ring operations."""
 
+import ast
+import pathlib
+
 import pytest
 
 import weylalg
@@ -28,6 +31,34 @@ def test_context_validation():
 def test_all_names_resolve_once():
     assert len(set(weylalg.__all__)) == len(weylalg.__all__)
     assert [n for n in weylalg.__all__ if not hasattr(weylalg, n)] == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; __all__ entries count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    roots = (pathlib.Path(weylalg.__file__).parent, pathlib.Path(__file__).parent)
+    found = [u for root in roots for path in sorted(root.glob("*.py"))
+             for u in _unused_imports(path)]
+    assert found == []
 
 
 def test_variable_names():

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylalg import (
     Context,
@@ -10,7 +11,6 @@ from weylalg import (
     ExprSyntaxError,
     GaussianRational,
     RecordError,
-    SympMatrix,
     UnknownVariableError,
     WeylElement,
     automorphism_from_record,
@@ -26,6 +26,7 @@ from weylalg import (
     load_record,
     parse_element,
     parse_scalar,
+    rational,
     save_record,
 )
 from weylalg.exprio import MAX_NESTING
@@ -59,6 +60,13 @@ from weylalg.sampling import random_element, random_instance
     pytest.param("-" * 1201 + "x1*p1", "-x1*p1", id="1201-unary-minuses"),
     pytest.param("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "x1",
                  id="nesting-at-bound"),
+    ("x1^1000000", "0"),
+    ("h^5", "0"),
+    ("x1 - x1", "0"),
+    ("i^3", "-i"),
+    ("-(-x1)", "x1"),
+    ("(1/2 + 3/4*i)*x1*p1^2", "(1/2+3/4*i)*x1*p1^2"),
+    ("(x1 + h)^2*p1", "x1^2*p1 + 2*h*x1*p1 + h^2*p1"),
 ])
 def test_parse_and_canonical_print(text, want, ctx1):
     assert format_element(parse_element(text, ctx1)) == want
@@ -103,12 +111,110 @@ def test_parse_truncates(ctx1):
                  id="5000-digit-variable-index"),
     pytest.param("(" * 300 + "x1" + ")" * 300, ExprSyntaxError,
                  (1, MAX_NESTING + 1), id="300-nested-parentheses"),
+    ("2*x3", UnknownVariableError, (1, 3)),
+    ("x1^p1", ExprSyntaxError, (1, 4)),
+    ("x1*", ExprSyntaxError, (1, 4)),
+    ("3*y", UnknownVariableError, (1, 3)),
+    pytest.param("x1 +" + " \n" * 10000, ExprSyntaxError, (10001, 1),
+                 id="end-after-trailing-whitespace"),
 ])
-def test_parse_errors_with_position(text, exc, pos, ctx1):
+def test_parse_errors_with_position(text, exc, pos, ctx2):
     with pytest.raises(exc) as info:
-        parse_element(text, ctx1)
+        parse_element(text, ctx2)
     if pos is not None:
         assert (info.value.line, info.value.col) == pos
+
+
+# Differential check of the parser against element arithmetic. A tree is
+# printed with the grammar's precedence (parentheses only where an atom
+# needs them) and evaluated with WeylElement's +, -, * and **.
+
+_leaves = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 6)),
+    st.sampled_from([("i",), ("h",)]),
+    st.tuples(st.just("var"), st.integers(0, 3)),
+)
+_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub),
+    st.tuples(st.just("^"), sub, st.integers(0, 4)),
+    st.tuples(st.just("neg"), sub),
+), max_leaves=10)
+
+
+def _expr_text(t):
+    if t[0] in ("+", "-"):
+        return f"{_expr_text(t[1])} {t[0]} {_term_text(t[2])}"
+    return _term_text(t)
+
+
+def _term_text(t):
+    return "-" + _term_text(t[1]) if t[0] == "neg" else _product_text(t)
+
+
+def _product_text(t):
+    if t[0] == "*":
+        return f"{_product_text(t[1])}*{_power_text(t[2])}"
+    return _power_text(t)
+
+
+def _power_text(t):
+    return f"{_atom_text(t[1])}^{t[2]}" if t[0] == "^" else _atom_text(t)
+
+
+def _atom_text(t):
+    if t[0] == "num":
+        return f"{t[1]}/{t[2]}" if t[2] != 1 else str(t[1])
+    if t[0] in ("i", "h"):
+        return t[0]
+    if t[0] == "var":
+        return f"{'xp'[t[1] % 2]}{t[1] // 2 + 1}"
+    return f"({_expr_text(t)})"
+
+
+def _reference(t, ctx):
+    op = t[0]
+    if op == "num":
+        return WeylElement.scalar(ctx, rational(t[1], t[2]))
+    if op == "i":
+        return WeylElement.scalar(ctx, GaussianRational(0, 1))
+    if op == "h":
+        return WeylElement.hbar(ctx)
+    if op == "var":
+        return WeylElement.variable(ctx, t[1] // 2 + ctx.dim * (t[1] % 2))
+    if op == "neg":
+        return -_reference(t[1], ctx)
+    if op == "^":
+        return _reference(t[1], ctx) ** t[2]
+    a, b = _reference(t[1], ctx), _reference(t[2], ctx)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.integers(4, 8))
+def test_parse_matches_element_arithmetic(tree, trunc):
+    ctx = Context(2, trunc)
+    text = _expr_text(tree)
+    want = _reference(tree, ctx)
+    assert parse_element(text, ctx) == want, text
+    assert parse_element(format_element(want), ctx) == want
+
+
+_soup_tokens = st.sampled_from([
+    "0", "2", "3/4", "1 / 2", "1/0", "1/", "i", "h", "x1", "p2", "x3", "x01",
+    "y", "+", "-", "*", "^", "(", ")", "^2", "^1000001", " ", "\n", "$",
+    "\u00b2"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_soup_tokens, max_size=12).map("".join))
+def test_token_soup_parses_or_fails_with_position(text):
+    try:
+        parse_element(text, Context(2, 8))
+    except (ExprSyntaxError, UnknownVariableError,
+            ExponentOverflowError) as exc:
+        assert exc.line >= 1 and exc.col >= 1
+        assert exc.line <= text.count("\n") + 1
+        assert exc.col <= len(text) + 1
 
 
 def test_multiline_position():

@@ -13,7 +13,6 @@ from weylalg import (
     NotSymplecticError,
     ResidualMismatchError,
     SympMatrix,
-    WeylElement,
     compose,
     dual_gradient,
     factor,

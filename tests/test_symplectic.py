@@ -1,7 +1,5 @@
 """Symplectic matrices, the form J, and linear pullbacks."""
 
-import random
-
 import pytest
 
 from weylalg import (
