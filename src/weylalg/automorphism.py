@@ -7,16 +7,19 @@ a derivation kills hbar and commutes with multiplication by it (c = 1).
 
 Both extend from generators to monomials by one recursion,
 
-    z^alpha = z_k * (star) z^beta - (hbar/2i) {z_k, z^beta},
+    z^alpha = z_k o z^beta,
 
-with k the smallest index present in alpha. The bracket is a monomial of
-lower degree, so both pieces have images known by induction. The two maps
-differ only in the image of 1 (1 or 0) and in the product rule applied to
-z_k * z^beta: phi(z_k) * phi(z^beta) for an automorphism, the Leibniz rule
-D(z_k) * z^beta + z_k * D(z^beta) for a derivation. The hbar of the
-correction maps to c*hbar. Images are memoized per exponent tuple, so
-repeated applications (composition, logarithms, verification sweeps) stay
-cheap.
+with k the smallest index present in alpha and o the symmetric product
+a o b = (a * b + b * a)/2, the even-order half of the Moyal series. With a
+linear left factor the only even order left is 0, so z_k o z^beta is the
+plain product z^alpha. An automorphism respects o and a derivation obeys
+the Leibniz rule for it, because both do so for the star product. The two
+maps differ only in the image of 1 (1 or 0) and in the product rule
+applied to z_k o z^beta: phi(z_k) o phi(z^beta) for an automorphism, the
+Leibniz rule D(z_k) o z^beta + z_k o D(z^beta) for a derivation. The scale
+c enters only where apply maps hbar to c*hbar. Images are memoized per
+exponent tuple, so repeated applications (composition, logarithms,
+verification sweeps) stay cheap.
 
 exp/log convert between derivations with images in X_2 and automorphisms
 with identity linear part. These series, and inner(S) = exp((i/hbar) ad_S),
@@ -46,8 +49,8 @@ class _StarRecursionMap:
     """A linear map fixed by generator images, extended by the star recursion.
 
     Subclasses set `_kind` (for messages), `_one` (the image of 1) and
-    `_product(k, beta)`, the raw image of z_k * z^beta; the hbar of the
-    bracket correction is scaled by c.
+    `_product(k, beta)`, the raw image of z^alpha = z_k o z^beta, the
+    symmetric product. apply scales each hbar of its argument by c.
     """
 
     __slots__ = ("ctx", "images", "_c", "_hpows", "_memo")
@@ -102,33 +105,9 @@ class _StarRecursionMap:
         elif deg == 1:
             b = self.images[e.index(1)]._buckets()
         else:
-            ctx = self.ctx
-            d = ctx.dim
             k = next(i for i, v in enumerate(e) if v)
             beta = e[:k] + (e[k] - 1,) + e[k + 1:]
-            raw = self._product(k, beta)
-            # bracket correction: z^alpha = z_k star z^beta - (hbar/2i){z_k, z^beta}
-            if k < d:
-                q, sim_sign = d + k, -1
-            else:
-                q, sim_sign = k - d, 1
-            n = beta[q]
-            if n:
-                gamma = beta[:q] + (n - 1,) + beta[q + 1:]
-                # times w = s*n*(i/2)*c, s = -1 for x pivots and +1 for xi;
-                # wre is 0 for real c, which saves two multiplications a term
-                half = Fraction(sim_sign * n, 2)
-                wre, wim = -half * self._c.im, half * self._c.re
-                trunc = ctx.trunc
-                for g, items in self._image_buckets(gamma).items():
-                    if g + 2 > trunc:
-                        continue
-                    for (h, ee), (re, im) in items:
-                        tre, tim = -im * wim, re * wim
-                        if wre:
-                            tre, tim = tre + re * wre, tim + im * wre
-                        _acc_add(raw, (h + 1, ee), tre, tim)
-            b = WeylElement._from_acc(ctx, raw)._buckets()
+            b = WeylElement._from_acc(self.ctx, self._product(k, beta))._buckets()
         memo[e] = b
         return b
 
@@ -179,10 +158,10 @@ class AutomorphismData(_StarRecursionMap):
         return self._c
 
     def _product(self, k, beta):
-        # phi(z_k) star phi(z^beta)
+        # phi(z_k) o phi(z^beta)
         ctx = self.ctx
         return _moyal_raw(self.images[k]._buckets(), self._image_buckets(beta),
-                          ctx.dim, ctx.trunc)
+                          ctx.dim, ctx.trunc, 0)
 
 
 def pullback_automorphism(m, ctx):
@@ -354,14 +333,14 @@ class DerivationData(_StarRecursionMap):
         super().__init__(ctx, images, G_ONE)
 
     def _product(self, k, beta):
-        # D(z_k) star z^beta + z_k star D(z^beta)
+        # D(z_k) o z^beta + z_k o D(z^beta)
         ctx = self.ctx
         d, trunc = ctx.dim, ctx.trunc
         raw = _moyal_raw(self.images[k]._buckets(),
-                         {sum(beta): [((0, beta), (QONE, QZERO))]}, d, trunc)
+                         {sum(beta): [((0, beta), (QONE, QZERO))]}, d, trunc, 0)
         zk = WeylElement.variable(ctx, k)._buckets()
         for key, (re, im) in _moyal_raw(
-                zk, self._image_buckets(beta), d, trunc).items():
+                zk, self._image_buckets(beta), d, trunc, 0).items():
             _acc_add(raw, key, re, im)
         return raw
 

@@ -3,6 +3,9 @@
 Data goes to stdout (or --out as a record file); human summaries go to
 stderr, so piping stdout always yields clean machine-readable output.
 
+`apply` assumes its record is an automorphism and does not check this
+(`factor` does); on other images its output is not meaningful.
+
 Exit codes:
 
     0   success

@@ -12,6 +12,11 @@ Poisson bracket convention is pinned to match the j = 1 term:
 so {xi_p, x_p} = 1 and the commutator of linear generators is
 [z_k, z_l] = (hbar/i) {z_k, z_l}.
 
+Swapping the factors signs the j-th term by (-1)^j. The even-j terms are
+therefore the symmetric (Jordan) product a o b = (a * b + b * a)/2, and
+the commutator [a, b] = a * b - b * a is twice the odd-j terms; the kernel
+takes the parity of j to keep, so either costs one pass.
+
 The scaled bracket (i/hbar)[a, b] lowers grade by two, so unlike the star
 product it is not well defined on the truncated quotient; it is computed
 here with an internal cutoff two grades above the result truncation, which
@@ -68,9 +73,11 @@ def _ff(n, k):
     return f
 
 
-def _moyal_raw(buckets_a, buckets_b, d, cutoff):
+def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
     """Star product of bucketed raw term maps, keeping grades <= cutoff.
 
+    parity None keeps every order j of the series, 0 only the even j (the
+    symmetric product (a*b + b*a)/2) and 1 only the odd j ((a*b - b*a)/2).
     Returns the accumulator, zero entries included.
     """
     acc = {}
@@ -86,16 +93,18 @@ def _moyal_raw(buckets_a, buckets_b, d, cutoff):
                     pre = re1 * re2 - im1 * im2
                     pim = re1 * im2 + im1 * re2
                     if left_linear:
-                        _linear_pair(acc, d, k, h2, e2, pre, pim)
+                        _linear_pair(acc, d, k, h2, e2, pre, pim, parity)
                     else:
-                        _general_pair(acc, d, h1, e1, h2, e2, pre, pim)
+                        _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity)
     return acc
 
 
-def _linear_pair(acc, d, k, h2, e2, pre, pim):
+def _linear_pair(acc, d, k, h2, e2, pre, pim, parity):
     # left factor is the bare variable z_k: only j = 0 and j = 1 survive
-    ek = e2[k]
-    _acc_add(acc, (h2, e2[:k] + (ek + 1,) + e2[k + 1:]), pre, pim)
+    if parity != 1:
+        _acc_add(acc, (h2, e2[:k] + (e2[k] + 1,) + e2[k + 1:]), pre, pim)
+    if parity == 0:
+        return
     # the j=1 term is -(hbar/2i) d_xi_p b for x_p * b and +(hbar/2i) d_x_p b
     # for xi_p * b: times s*n*i/2, s = 1 for an x pivot and -1 for xi
     if k < d:
@@ -109,9 +118,10 @@ def _linear_pair(acc, d, k, h2, e2, pre, pim):
                  -pim * half, pre * half)
 
 
-def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
+def _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
     base = tuple(map(int.__add__, e1, e2))
-    _acc_add(acc, (h1 + h2, base), pre, pim)
+    if parity != 1:
+        _acc_add(acc, (h1 + h2, base), pre, pim)
 
     active = []
     for p in range(d):
@@ -138,6 +148,8 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
                 lst.append((kp + lp, _fact(kp) * _fact(lp), p, num))
         lists.append(lst)
 
+    # the parity of j that is dropped; j & 1 is never None
+    skip = None if parity is None else 1 - parity
     hbase = h1 + h2
     for combo in _iproduct(*lists):
         j = 0
@@ -148,7 +160,7 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim):
                 j += jp
                 num *= nm
                 den *= dn
-        if not j:
+        if not j or j & 1 == skip:
             continue
         tre, tim = _ihalf(j)
         q = Fraction(num, den) if den != 1 else num
@@ -166,7 +178,8 @@ def moyal(a, b):
     """Star product in the shared context."""
     _require_same_ctx(a, b)
     return WeylElement._from_acc(
-        a.ctx, _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc))
+        a.ctx,
+        _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc, None))
 
 
 def poisson(a, b):
@@ -180,12 +193,13 @@ def poisson(a, b):
 
 
 def _commutator_raw(a, b, cutoff):
-    """Accumulator of a * b - b * a up to grade cutoff, zero entries included."""
-    d = a.ctx.dim
-    acc = _moyal_raw(a._buckets(), b._buckets(), d, cutoff)
-    for k, (re, im) in _moyal_raw(b._buckets(), a._buckets(), d, cutoff).items():
-        _acc_add(acc, k, -re, -im)
-    return acc
+    """Accumulator of a * b - b * a up to grade cutoff, zero entries included.
+
+    b * a is a * b with each order j signed (-1)^j, so the commutator is
+    twice the odd-j terms of a * b: one kernel pass.
+    """
+    acc = _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, cutoff, 1)
+    return {k: (re + re, im + im) for k, (re, im) in acc.items()}
 
 
 def commutator(a, b):

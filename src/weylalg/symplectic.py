@@ -176,10 +176,11 @@ def pullback(m, a):
     automorphism.pullback_automorphism builds its automorphism. For
     symplectic M it equals that automorphism's apply(a), computed by the
     star recursion: under a linear symplectic map Weyl symbols transform
-    by plain substitution (metaplectic covariance, Folland 1989, ch. 4),
-    so the Moyal correction terms of the recursion all cancel. The two
-    algorithms are kept apart on purpose; tests hold this one against
-    the recursion.
+    by plain substitution (metaplectic covariance, Folland 1989, ch. 4).
+    Each step of the recursion takes the symmetric product of a linear
+    image (Mz)_k with an image known by induction, which is their plain
+    product. The two algorithms are kept apart on purpose; tests hold
+    this one against the recursion.
 
     The work is done on Gaussian integers. M is scaled by delta, the lcm of
     its entries' denominators, and a's coefficients are written as

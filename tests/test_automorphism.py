@@ -12,6 +12,7 @@ from weylalg import (
     InnerGeneratorError,
     InvalidImageError,
     KernelPreconditionError,
+    SympMatrix,
     WeylElement,
     compose,
     exp_derivation,
@@ -21,11 +22,13 @@ from weylalg import (
     log_automorphism,
     moyal,
     parse_element,
+    pullback,
     scaled_bracket,
     verify_morphism,
 )
 from weylalg.elements import monomials_of_grade
 from weylalg.sampling import random_element, random_inner_generator, random_instance
+from weylalg.symplectic import random_symplectic_rng
 
 
 def _parse(text, ctx):
@@ -104,12 +107,34 @@ def test_hbar_scale_action(ctx1):
     assert phi.apply(h) == h.scale(2)
     assert phi.apply(WeylElement.hbar(ctx1, 3)) == WeylElement.hbar(ctx1, 3).scale(8)
     assert verify_morphism(phi, 4)
-    # a non-real scale reaches the complex branch of the bracket correction
+    # a non-real scale: hbar^3 picks up c^3
     c = GaussianRational(1, 1)
     phi = AutomorphismData(ctx1, [_x(ctx1, 0), _parse("(1+i)*p1", ctx1)], c)
     h3 = WeylElement.hbar(ctx1, 3)
     assert phi.apply(h3) == h3.scale(c * c * c)
     assert verify_morphism(phi, 6)
+
+
+@pytest.mark.parametrize("c", [
+    GaussianRational(6), GaussianRational(1, 1), GaussianRational("1/2", -2)])
+def test_conformal_linear_map_is_scaled_substitution(rng, c):
+    # M = diag(cI, I) S with S symplectic has M^T J M = c J, so z -> Mz with
+    # hbar -> c*hbar is an automorphism, and it maps Weyl symbols by
+    # substitution once each hbar^h is scaled by c^h
+    for d in (1, 2):
+        ctx = Context(d, 8)
+        s = random_symplectic_rng(rng, d, 6, complex_entries=True)
+        m = SympMatrix([[c * v for v in row] if r < d else row
+                        for r, row in enumerate(s.rows)])
+        phi = AutomorphismData(
+            ctx, [pullback(m, _x(ctx, k)) for k in range(ctx.nvars)], c)
+        assert verify_morphism(phi, 4)
+        for _ in range(4):
+            a = random_element(rng, ctx, 6, complex_scalars=True)
+            scaled = WeylElement(ctx, {
+                mono: coeff * c ** mono.hpow
+                for mono, coeff in a.terms().items()})
+            assert phi.apply(a) == pullback(m, scaled)
 
 
 def test_apply_is_linear_and_memo_stable(rng, ctx2):

@@ -164,6 +164,36 @@ def test_scaled_bracket_mixed_truncations(ctx1):
     assert scaled_bracket(s_top, z) == _parse("-9*x1^8", ctx1)
 
 
+def test_commutator_is_difference_of_products(rng):
+    # the one-pass kernel against its definition a * b - b * a
+    for d in (1, 2):
+        ctx = Context(d, 8)
+        for _ in range(8):
+            a = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
+            b = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
+            assert commutator(a, b) == moyal(a, b) - moyal(b, a)
+
+
+def test_scaled_bracket_is_lifted_commutator(rng):
+    # (i/hbar)[a, b] by definition: the commutator taken two grades above
+    # the smaller truncation, divided by hbar and cut back to it
+    i = GaussianRational(0, 1)
+    for d in (1, 2):
+        for ta, tb in ((8, 8), (8, 9), (9, 8), (8, 11)):
+            a = random_element(rng, Context(d, ta), 5, complex_scalars=True)
+            b = random_element(rng, Context(d, tb), 5, complex_scalars=True)
+            trunc = min(ta, tb)
+            lifted = Context(d, trunc + 2)
+            la = WeylElement(lifted, a.terms())
+            lb = WeylElement(lifted, b.terms())
+            want = WeylElement(
+                Context(d, trunc),
+                commutator(la, lb).hbar_shift(-1).scale(i).terms())
+            got = scaled_bracket(a, b)
+            assert got.ctx == Context(d, trunc)
+            assert got == want
+
+
 def test_star_context_mismatch(ctx1, ctx2):
     with pytest.raises(ContextError):
         moyal(WeylElement.one(ctx1), WeylElement.one(ctx2))
