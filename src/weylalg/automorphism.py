@@ -297,15 +297,13 @@ def _series(start, step, coeff):
     return total
 
 
-def inner_automorphism(s, ctx=None):
+def inner_automorphism(s, ctx):
     """exp((i/hbar) ad_S) as an automorphism of the target context.
 
     S must lie in X_3 (every term of grade >= 3); it may be truncated one
     order above the target so grade-(N+1) generator terms act on grade-1
     variables without loss. hbar is fixed (scale 1).
     """
-    if ctx is None:
-        ctx = s.ctx
     if s.ctx.dim != ctx.dim:
         raise ContextError("generator dimension differs from target context")
     lg = s.lowest_grade()

@@ -161,12 +161,13 @@ _HBAR = -1      # the name marker of h, beside the variable indices
 class _Parser:
     """Sums an expression into one accumulator while reading its tokens.
 
-    A product folds into one monomial: a coefficient cr + i*ci, an hbar
-    power and an exponent list. Grades only grow along a product, so
-    dropping the finished monomial past the truncation equals truncating
-    at every step. A parenthesised constant folds in as a scalar; only a
-    non-constant parenthesised factor goes through element products and
-    powers, left to right.
+    Every atom of a product, a parenthesised constant included, folds
+    into one monomial: a coefficient cr + i*ci, an hbar power and an
+    exponent list. A non-constant parenthesised factor is raised to its
+    power and set aside; when the product ends, the set-aside factors
+    are multiplied into the finished monomial. The product is
+    commutative and grades only grow along it, so truncating once at
+    the end equals truncating at every step.
     """
 
     def __init__(self, text, tokens, ctx):
@@ -210,12 +211,10 @@ class _Parser:
     def product(self, acc, negate):
         """Sums a product of powers, negated if asked, into acc."""
         tokens, names = self.tokens, self.names
-        nvars = self.ctx.nvars
         cr, ci = QONE, QZERO
         hpow = 0
-        exps = [0] * nvars
-        elem = None         # the product so far, once a factor is an element
-        folded = False      # atoms in the monomial that elem does not hold
+        exps = [0] * self.ctx.nvars
+        groups = []         # the non-constant parenthesised factors, powered
         while True:
             pos = self.pos
             tok = tokens[pos]
@@ -231,77 +230,43 @@ class _Parser:
                     hpow += n
                 else:
                     exps[k] += n
-                folded = True
             else:
                 if c in _DIGITS:
-                    fr, fi = self.values[pos], QZERO
+                    g = self.values[pos], QZERO
                 elif tok == "i":
-                    fr, fi = G_I.re, G_I.im
+                    g = G_I.re, G_I.im
                 elif tok == "(":
                     g = self.group(pos)
-                    if type(g) is tuple:
-                        fr, fi = g
-                    else:
-                        fr = None
                 else:
                     self.err(f"expected a value, found {_kind(tok)!r}", pos)
                 n = self.exponent()
-                if fr is None:      # a non-constant group: element products
-                    if n is not None:
-                        g = g ** n
-                    if folded:
-                        m = self.monomial(cr, ci, hpow, exps)
-                        g = m * g if elem is None else elem * m * g
-                        cr, ci = QONE, QZERO
-                        hpow = 0
-                        exps = [0] * nvars
-                        folded = False
-                    elif elem is not None:
-                        g = elem * g
-                    elem = g
+                if type(g) is not tuple:    # a non-constant group
+                    groups.append(g if n is None else g ** n)
                 else:
+                    fr, fi = g
                     if n is not None:
-                        if fi:
-                            g = GaussianRational._wrap(fr, fi) ** n
-                            fr, fi = g.re, g.im
-                        else:
-                            fr = fr ** n
+                        g = GaussianRational._wrap(fr, fi) ** n
+                        fr, fi = g.re, g.im
                     if cr is QONE and not ci:   # the first scalar factor
                         cr, ci = fr, fi
-                    elif fi or ci:
-                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
                     else:
-                        cr = cr * fr
-                    folded = True
+                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
             if tokens[self.pos] != "*":
                 break
             self.pos += 1
-        if elem is None:
-            key = self.key(cr, ci, hpow, exps)
-            if key is not None:
-                if negate:
-                    cr, ci = -cr, -ci
-                _acc_add(acc, key, cr, ci)
+        if not (cr or ci) or 2 * hpow + sum(exps) > self.ctx.trunc:
             return
-        if folded:
-            elem = elem * self.monomial(cr, ci, hpow, exps)
-        for key, (cr, ci) in elem._raw.items():
-            if negate:
-                cr, ci = -cr, -ci
+        if negate:
+            cr, ci = -cr, -ci
+        key = hpow, tuple(exps)
+        if not groups:
             _acc_add(acc, key, cr, ci)
-
-    def key(self, cr, ci, hpow, exps):
-        """A folded monomial's key; None when it is zero or truncated away."""
-        if (cr or ci) and 2 * hpow + sum(exps) <= self.ctx.trunc:
-            return hpow, tuple(exps)
-        return None
-
-    def monomial(self, cr, ci, hpow, exps):
-        """A folded monomial as an element."""
-        key = self.key(cr, ci, hpow, exps)
-        if key is None:
-            return WeylElement.zero(self.ctx)
-        return WeylElement._from_raw(self.ctx, {key: (cr, ci)})
+            return
+        e = WeylElement._from_raw(self.ctx, {key: (cr, ci)})
+        for g in groups:
+            e = e * g
+        for key, (cr, ci) in e._raw.items():
+            _acc_add(acc, key, cr, ci)
 
     def exponent(self):
         """The natural after a "^" at the current token, or None."""

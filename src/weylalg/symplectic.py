@@ -72,7 +72,12 @@ class SympMatrix:
             for i in range(n)))
 
     def inverse(self):
-        return SympMatrix(self._inv)
+        """The inverse, built from the rows pair this matrix already holds."""
+        inv = object.__new__(SympMatrix)
+        object.__setattr__(inv, "dim", self.dim)
+        object.__setattr__(inv, "rows", self._inv)
+        object.__setattr__(inv, "_inv", self.rows)
+        return inv
 
     def __matmul__(self, other):
         if not isinstance(other, SympMatrix):

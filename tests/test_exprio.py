@@ -67,6 +67,15 @@ from weylalg.sampling import random_element, random_instance
     ("-(-x1)", "x1"),
     ("(1/2 + 3/4*i)*x1*p1^2", "(1/2+3/4*i)*x1*p1^2"),
     ("(x1 + h)^2*p1", "x1^2*p1 + 2*h*x1*p1 + h^2*p1"),
+    ("x1*(x1 + p1)*h*(p1 + h)^2*3",
+     "3*h*x1^2*p1^2 + 3*h*x1*p1^3 + 6*h^2*x1^2*p1 + 6*h^2*x1*p1^2"
+     " + 3*h^3*x1^2 + 3*h^3*x1*p1"),
+    ("0*(x1 + p1)", "0"),
+    ("h^4*(x1 + 1)", "h^4"),
+    ("h^5*(x1 + 1)", "0"),
+    ("(x1 + p1)^0*x1", "x1"),
+    ("(1+i)^2*x1*(x1 - p1)", "2*i*x1^2 - 2*i*x1*p1"),
+    ("(x1 + p1)*(x1 - p1)*(1/2)", "(1/2)*x1^2 - (1/2)*p1^2"),
 ])
 def test_parse_and_canonical_print(text, want, ctx1):
     assert format_element(parse_element(text, ctx1)) == want
@@ -265,6 +274,25 @@ def test_automorphism_record_roundtrip(rng, ctx2):
     assert back.ctx == phi.ctx
     assert back.hbar_scale == phi.hbar_scale
     assert all(a == b for a, b in zip(back.images, phi.images))
+
+
+def test_record_images_parse_without_element_products(rng, ctx2,
+                                                     monkeypatch):
+    # printed terms hold only constant groups such as (3/4) and
+    # (1/2+3/4*i), so every product folds into one monomial
+    phis = [random_instance(rng, ctx2, complex_scalars=True)[0]
+            for _ in range(4)]
+    recs = [automorphism_record(phi) for phi in phis]
+
+    def forbidden(*args):
+        raise AssertionError("a record term built an element product")
+
+    monkeypatch.setattr(WeylElement, "__mul__", forbidden)
+    monkeypatch.setattr(WeylElement, "__pow__", forbidden)
+    backs = [automorphism_from_record(rec) for rec in recs]
+    monkeypatch.undo()
+    for phi, back in zip(phis, backs):
+        assert back.images == phi.images
 
 
 def test_factorization_record_roundtrip(ctx1):

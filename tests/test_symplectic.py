@@ -16,6 +16,7 @@ from weylalg import (
     pullback,
     pullback_automorphism,
     random_symplectic,
+    symplectic,
     symplectic_form,
 )
 from weylalg.sampling import random_element
@@ -55,6 +56,16 @@ def test_identity_inverse_product():
     assert (m.inverse() @ m).is_identity()
     with pytest.raises(ContextError):
         m @ i2
+
+
+def test_inverse_reuses_the_held_inverse(monkeypatch):
+    m = SympMatrix([[1, 2], [1, 3]])
+    calls = []
+    invert = symplectic._invert
+    monkeypatch.setattr(symplectic, "_invert",
+                        lambda rows: calls.append(rows) or invert(rows))
+    assert m.inverse().inverse() == m
+    assert calls == []
 
 
 def test_symplectic_detection():
