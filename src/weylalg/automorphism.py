@@ -38,11 +38,10 @@ from .errors import (
     InternalError,
     InvalidImageError,
     KernelPreconditionError,
-    NotSymplecticError,
 )
 from .scalars import G_MINUS_I, G_ONE, GaussianRational, QONE, QZERO
 from .star import _fact, _moyal_raw, commutator, moyal, scaled_bracket
-from .symplectic import SympMatrix, is_symplectic, pullback, symplectic_form
+from .symplectic import SympMatrix, pullback, symplectic_form
 
 
 class _StarRecursionMap:
@@ -165,13 +164,11 @@ class AutomorphismData(_StarRecursionMap):
 
 
 def pullback_automorphism(m, ctx):
-    """The automorphism z_k -> (Mz)_k; M must be symplectic.
+    """The automorphism z_k -> (Mz)_k of a SympMatrix M.
 
     The only place a matrix becomes an automorphism: its images are the
     substitutions pullback(M, z_k), and its apply runs the star recursion.
     """
-    if not is_symplectic(m):
-        raise NotSymplecticError("pullback automorphism needs M^T J M = J")
     return AutomorphismData(
         ctx, [pullback(m, WeylElement.variable(ctx, k)) for k in range(ctx.nvars)])
 

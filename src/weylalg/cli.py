@@ -158,9 +158,9 @@ def _cmd_factor(args):
     else:
         sys.stdout.write(dumps_record(rec))
     terms = len(res.generator)
+    # factor raises ResidualMismatchError rather than return a failed report
     print(f"factored: symplectic linear part, generator with {terms} term(s), "
-          f"residual check {'passed' if res.report.passed else 'FAILED'}",
-          file=sys.stderr)
+          "residual check passed", file=sys.stderr)
     return 0
 
 

@@ -269,12 +269,14 @@ class WeylElement:
         return out
 
     def hbar_shift(self, j):
-        """Multiply by hbar^j (hpow += j), truncating."""
+        """Multiply by hbar^j (hpow += j), truncating; no power may go negative."""
         if j == 0:
             return self
         trunc = self.ctx.trunc
         raw = {}
         for (h, e), v in self._raw.items():
+            if h + j < 0:
+                raise ContextError("hbar power must be a natural number")
             if 2 * (h + j) + sum(e) <= trunc:
                 raw[(h + j, e)] = v
         return WeylElement._from_raw(self.ctx, raw)

@@ -42,11 +42,12 @@ from .errors import (
     HbarScaleError,
     LinearPartNotInvertibleError,
     LinearPartNotSymplecticError,
+    NotSymplecticError,
     OutputLimitError,
     ResidualMismatchError,
     SingularMatrixError,
 )
-from .symplectic import SympMatrix, is_symplectic, pullback
+from .symplectic import SympMatrix, pullback
 
 
 def dual_gradient(dv):
@@ -142,10 +143,10 @@ def verify_factorization(phi, m, s):
 
     No judgement calls: the report lists, for each generator, whether the
     images agree on the nose and otherwise the lowest grade that differs.
-    The linear factor is pullback_automorphism(M), so M must be symplectic
-    (NotSymplecticError otherwise). Recomposition runs the star recursion,
-    not the substitution that factor's peel uses, so the check does not
-    rest on the code it certifies.
+    The linear factor is pullback_automorphism(M) of the SympMatrix M.
+    Recomposition runs the star recursion, not the substitution that
+    factor's peel uses, so the check does not rest on the code it
+    certifies.
     """
     ctx = phi.ctx
     recomposed = compose(pullback_automorphism(m, ctx),
@@ -176,15 +177,14 @@ def factor(phi):
         except OutputLimitError:
             scale = f"has more than {sys.get_int_max_str_digits()} digits"
         raise HbarScaleError(f"cannot factor: hbar scale {scale}, need 1")
-    rows = linear_part(phi)
     try:
-        m = SympMatrix(rows)
+        m = SympMatrix(linear_part(phi))
     except SingularMatrixError as exc:
         raise LinearPartNotInvertibleError(
             "linear part of the automorphism is singular") from exc
-    if not is_symplectic(m):
+    except NotSymplecticError as exc:
         raise LinearPartNotSymplecticError(
-            "linear part does not preserve the symplectic form")
+            "linear part does not preserve the symplectic form") from exc
     # M is symplectic, so pullback(M^-1) acts on each image by substitution
     minv = m.inverse()
     psi = AutomorphismData(phi.ctx, [pullback(minv, im) for im in phi.images])

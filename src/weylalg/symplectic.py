@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .elements import Context, WeylElement, MIN_TRUNC, _acc_add
-from .errors import ContextError, SingularMatrixError
+from .errors import ContextError, NotSymplecticError, SingularMatrixError
 from .scalars import G_ONE, G_ZERO, GaussianRational, rational
 from .star import poisson
 
@@ -43,14 +43,15 @@ def _coerce_entry(v):
 
 
 class SympMatrix:
-    """Square 2d x 2d matrix over the Gaussian rationals, invertible.
+    """Complex-symplectic 2d x 2d matrix over the Gaussian rationals.
 
-    Invertibility is established at construction by exact Gauss-Jordan
-    elimination (which also yields the cached inverse); a singular input
-    raises SingularMatrixError.
+    M^T J M = J is decided once, when a matrix is built from rows: rows
+    that fail raise SingularMatrixError if they are singular and
+    NotSymplecticError otherwise. Products and inverses of symplectic
+    matrices are symplectic, so `@` and inverse() skip the check.
     """
 
-    __slots__ = ("dim", "rows", "_inv")
+    __slots__ = ("dim", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
@@ -59,7 +60,17 @@ class SympMatrix:
             raise ContextError("matrix must be square of even size 2d")
         object.__setattr__(self, "dim", n // 2)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_inv", _invert(rows))
+        if not is_symplectic(self):
+            _require_invertible(rows)
+            raise NotSymplecticError("matrix does not satisfy M^T J M = J")
+
+    @classmethod
+    def _unchecked(cls, rows):
+        """A SympMatrix of rows known to be symplectic."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", len(rows) // 2)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SympMatrix is immutable")
@@ -72,21 +83,25 @@ class SympMatrix:
             for i in range(n)))
 
     def inverse(self):
-        """The inverse, built from the rows pair this matrix already holds."""
-        inv = object.__new__(SympMatrix)
-        object.__setattr__(inv, "dim", self.dim)
-        object.__setattr__(inv, "rows", self._inv)
-        object.__setattr__(inv, "_inv", self.rows)
-        return inv
+        """J^-1 M^T J, whose entries are those of M, moved and signed.
+
+        If column c of J holds s_c in row b_c, then J^-1 = J^T and entry
+        (r, c) is s_r s_c M[b_c][b_r].
+        """
+        j = symplectic_form(self.dim)
+        n = len(j)
+        src = [next((b, j[b][c]) for b in range(n) if j[b][c]) for c in range(n)]
+        m = self.rows
+        return SympMatrix._unchecked(tuple(
+            tuple(m[bc][br] if sr == sc else -m[bc][br] for bc, sc in src)
+            for br, sr in src))
 
     def __matmul__(self, other):
         if not isinstance(other, SympMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ContextError("matrix dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        return SympMatrix(tuple(
-            tuple(_dot(row, col) for col in cols) for row in self.rows))
+        return SympMatrix._unchecked(_mul(self.rows, other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, SympMatrix):
@@ -108,8 +123,8 @@ class SympMatrix:
 
 def _dot(row, col):
     # J and most sampled matrices are sparse: skipping zero factors makes
-    # is_symplectic, which factor and verify each run, 5x cheaper at d = 2
-    # and 10x at d = 3
+    # is_symplectic, which every SympMatrix built from rows runs, about 3x
+    # cheaper at d = 2 and 8x at d = 3
     acc = G_ZERO
     for a, b in zip(row, col):
         if a and b:
@@ -117,48 +132,32 @@ def _dot(row, col):
     return acc
 
 
-def _invert(rows):
-    """Exact Gauss-Jordan; returns inverse rows or raises SingularMatrixError."""
+def _mul(a, b):
+    """Product of two matrices given as tuples of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+
+
+def _require_invertible(rows):
+    """Exact forward elimination; raises SingularMatrixError on a rank drop."""
     n = len(rows)
     a = [list(r) for r in rows]
-    inv = [[G_ONE if i == j else G_ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
+        a[col], a[pivot] = a[pivot], a[col]
         p = a[col][col].inverse()
-        a[col] = [v * p for v in a[col]]
-        inv[col] = [v * p for v in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f.is_zero():
-                continue
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
+        for r in range(col + 1, n):
+            f = a[r][col] * p
+            if not f.is_zero():
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
 
 
 def is_symplectic(m):
     """M^T J M = J, exactly."""
     j = symplectic_form(m.dim)
-    n = 2 * m.dim
-    jm = tuple(
-        tuple(_dot(j[r], tuple(m.rows[k][c] for k in range(n))) for c in range(n))
-        for r in range(n))
-    form = tuple(
-        tuple(_dot(tuple(m.rows[k][r] for k in range(n)), tuple(jm[k][c] for k in range(n)))
-              for c in range(n))
-        for r in range(n))
-    return form == j
+    return _mul(_mul(tuple(zip(*m.rows)), j), m.rows) == j
 
 
 def _require_matrix_dim(m, ctx):
@@ -175,12 +174,12 @@ def _lcm_denominators(values):
 
 
 def pullback(m, a):
-    """The substitution a(Mz): a composed with z -> Mz. Requires only invertibility.
+    """The substitution a(Mz): a composed with z -> Mz, for a SympMatrix M.
 
     On a variable it gives (Mz)_k, the generator images from which
-    automorphism.pullback_automorphism builds its automorphism. For
-    symplectic M it equals that automorphism's apply(a), computed by the
-    star recursion: under a linear symplectic map Weyl symbols transform
+    automorphism.pullback_automorphism builds its automorphism. It
+    equals that automorphism's apply(a), computed by the star
+    recursion: under a linear symplectic map Weyl symbols transform
     by plain substitution (metaplectic covariance, Folland 1989, ch. 4).
     Each step of the recursion takes the symmetric product of a linear
     image (Mz)_k with an image known by induction, which is their plain

@@ -12,7 +12,6 @@ from weylalg import (
     InnerGeneratorError,
     InvalidImageError,
     KernelPreconditionError,
-    SympMatrix,
     WeylElement,
     compose,
     exp_derivation,
@@ -119,22 +118,23 @@ def test_hbar_scale_action(ctx1):
     GaussianRational(6), GaussianRational(1, 1), GaussianRational("1/2", -2)])
 def test_conformal_linear_map_is_scaled_substitution(rng, c):
     # M = diag(cI, I) S with S symplectic has M^T J M = c J, so z -> Mz with
-    # hbar -> c*hbar is an automorphism, and it maps Weyl symbols by
-    # substitution once each hbar^h is scaled by c^h
+    # hbar -> c*hbar is an automorphism. M is not a SympMatrix: substituting
+    # z -> Mz is substituting z -> Sz after scaling each hbar^h x^a p^b
+    # by c^(h + |a|)
     for d in (1, 2):
         ctx = Context(d, 8)
         s = random_symplectic_rng(rng, d, 6, complex_entries=True)
-        m = SympMatrix([[c * v for v in row] if r < d else row
-                        for r, row in enumerate(s.rows)])
+        images = [pullback(s, _x(ctx, k)) for k in range(ctx.nvars)]
         phi = AutomorphismData(
-            ctx, [pullback(m, _x(ctx, k)) for k in range(ctx.nvars)], c)
+            ctx, [im.scale(c) if k < d else im for k, im in enumerate(images)],
+            c)
         assert verify_morphism(phi, 4)
         for _ in range(4):
             a = random_element(rng, ctx, 6, complex_scalars=True)
             scaled = WeylElement(ctx, {
-                mono: coeff * c ** mono.hpow
+                mono: coeff * c ** (mono.hpow + sum(mono.exps[:d]))
                 for mono, coeff in a.terms().items()})
-            assert phi.apply(a) == pullback(m, scaled)
+            assert phi.apply(a) == pullback(s, scaled)
 
 
 def test_apply_is_linear_and_memo_stable(rng, ctx2):

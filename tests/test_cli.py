@@ -2,12 +2,14 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from weylalg import load_record
+import weylalg.cli
+from weylalg import WeylError, errors, load_record
 from weylalg.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -19,6 +21,20 @@ def run_cli(*argv, env=None):
         [sys.executable, "-m", "weylalg.cli", *argv],
         capture_output=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_exit_code_tables_match_the_errors():
+    # README and the cli docstring document exactly the codes that
+    # WeylError subclasses carry, plus success and internal error
+    codes = {cls.exit_code for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, WeylError)}
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Exit codes:", 1)[1].split("\n## ", 1)[0]
+    assert {int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)} \
+        == codes | {0, 1}
+    doc = weylalg.cli.__doc__.split("Exit codes:", 1)[1]
+    assert {int(c) for c in re.findall(r"^    (\d+)  ", doc, re.M)} \
+        == codes | {0, 1}
 
 
 def test_star_stdout(capsys):

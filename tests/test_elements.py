@@ -13,6 +13,7 @@ from weylalg import (
     Monomial,
     WeylElement,
     monomials_of_grade,
+    parse_element,
     rational,
 )
 from weylalg.sampling import random_element
@@ -150,6 +151,11 @@ def test_hbar_shift(ctx1):
     assert e.coefficient(2, (3, 0)).is_one()
     assert e.lowest_grade() == 7
     assert (x ** 8).hbar_shift(1).is_zero()  # pushed past the truncation
+    with pytest.raises(ContextError):
+        # h^-1*x1 is not an element
+        parse_element("x1 + h*p1", ctx1).hbar_shift(-1)
+    assert parse_element("h*x1 + h^2*p1", ctx1).hbar_shift(-1) == \
+        parse_element("x1 + h*p1", ctx1)
 
 
 def test_partial_derivative(ctx2):

@@ -10,9 +10,11 @@ from weylalg import (
     ExponentOverflowError,
     ExprSyntaxError,
     GaussianRational,
+    NotSymplecticError,
     RecordError,
     UnknownVariableError,
     WeylElement,
+    WeylError,
     automorphism_from_record,
     automorphism_record,
     dumps_record,
@@ -26,6 +28,7 @@ from weylalg import (
     load_record,
     parse_element,
     parse_scalar,
+    random_symplectic,
     rational,
     save_record,
 )
@@ -352,6 +355,13 @@ def test_record_shape_errors(tmp_path):
                                    "trunc": 8, "payload": {
                                        "matrix": [["1"]], "generator": "0",
                                        "generator_trunc": 9}})
+    with pytest.raises(NotSymplecticError):
+        # invertible, but det 2: a factorization matrix must be symplectic
+        factorization_from_record({"schema": "factorization/1", "dim": 1,
+                                   "trunc": 8, "payload": {
+                                       "matrix": [["1", "0"], ["0", "2"]],
+                                       "generator": "0",
+                                       "generator_trunc": 9}})
     with pytest.raises(RecordError):
         automorphism_from_record({"schema": "automorphism/1", "dim": 1,
                                   "trunc": 8, "payload": {"images": ["x1"]}})
@@ -363,6 +373,70 @@ def test_record_shape_errors(tmp_path):
         automorphism_from_record({"schema": "automorphism/1",
                                   "dim": int("9" * 4300), "trunc": 8,
                                   "payload": {"images": []}})
+
+
+# Records for the loader fuzz: a well-formed record of dim d with one
+# field, or none, replaced by an arbitrary JSON tree. Integers stay at
+# most 3 in the trees and 10 in truncation orders, and strings are short,
+# so no loader starts an oversized computation.
+_soup_text = st.lists(_soup_tokens, max_size=6).map("".join)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.just(1.5)
+    | _soup_text,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_soup_text, kids, max_size=3),
+    max_leaves=12)
+_expr = _trees.map(_expr_text) | _soup_text
+_image = _trees.map(lambda t: f"x1*({_expr_text(t)})")
+_entry = st.sampled_from(["0", "1", "-1", "2", "1/2", "i", "1+i", "x1"])
+
+
+def _records(d):
+    n = 2 * d
+    payload = st.fixed_dictionaries({
+        "expr": _expr,
+        "images": st.lists(_image, min_size=n, max_size=n),
+        "hbar_scale": _entry,
+        "matrix": st.lists(st.lists(_entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+        | st.integers(0, 99).map(lambda seed: [
+            [str(v) for v in row]
+            for row in random_symplectic(d, seed, steps=3).rows]),
+        "generator": _expr,
+        "generator_trunc": st.integers(4, 10),
+    })
+    return st.fixed_dictionaries({
+        "schema": st.sampled_from(
+            ["weyl-element/1", "automorphism/1", "factorization/1"]),
+        "dim": st.just(d),
+        "trunc": st.integers(4, 10),
+        "payload": payload,
+    })
+
+
+def _corrupt(rec, field, junk):
+    if field is not None:
+        (rec if field in rec else rec["payload"])[field] = junk
+    return rec
+
+
+_record = st.builds(
+    _corrupt, st.integers(1, 3).flatmap(_records),
+    st.sampled_from([None, "schema", "dim", "trunc", "payload", "expr",
+                     "images", "hbar_scale", "matrix", "generator",
+                     "generator_trunc"]),
+    _json)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record)
+def test_record_loaders_load_or_fail_with_exit_code(rec):
+    for load in (automorphism_from_record, element_from_record,
+                 factorization_from_record):
+        try:
+            load(rec)
+        except WeylError as exc:
+            assert exc.exit_code != 1, repr(exc)
 
 
 def test_dumps_record_is_sorted_and_indented():

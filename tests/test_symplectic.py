@@ -1,5 +1,7 @@
 """Symplectic matrices, the form J, and linear pullbacks."""
 
+import random
+
 import pytest
 
 from weylalg import (
@@ -10,6 +12,7 @@ from weylalg import (
     SingularMatrixError,
     SympMatrix,
     WeylElement,
+    factor,
     is_symplectic,
     linear_part,
     moyal,
@@ -19,7 +22,7 @@ from weylalg import (
     symplectic,
     symplectic_form,
 )
-from weylalg.sampling import random_element
+from weylalg.sampling import random_element, random_instance
 from weylalg.symplectic import random_symplectic_rng
 
 
@@ -59,19 +62,26 @@ def test_identity_inverse_product():
 
 
 def test_inverse_reuses_the_held_inverse(monkeypatch):
+    # a symplectic matrix is never eliminated: its inverse is J^-1 M^T J
+    def eliminate(rows):
+        raise AssertionError("a symplectic matrix was eliminated")
+
+    monkeypatch.setattr(symplectic, "_require_invertible", eliminate)
     m = SympMatrix([[1, 2], [1, 3]])
-    calls = []
-    invert = symplectic._invert
-    monkeypatch.setattr(symplectic, "_invert",
-                        lambda rows: calls.append(rows) or invert(rows))
+    assert m.inverse().rows == ((3, -2), (-1, 1))
     assert m.inverse().inverse() == m
-    assert calls == []
+    # the first instance of the C08 corpus
+    phi, m, s = random_instance(random.Random(108), Context(1, 8), steps=8,
+                                generator_terms=10, complex_scalars=True)
+    res = factor(phi)
+    assert res.matrix == m and res.generator == s
 
 
 def test_symplectic_detection():
     # d=1: symplectic == determinant one
     assert is_symplectic(SympMatrix([[1, 2], [1, 3]]))
-    assert not is_symplectic(SympMatrix([[1, 0], [0, 2]]))
+    with pytest.raises(NotSymplecticError):
+        SympMatrix([[1, 0], [0, 2]])
     # shear is symplectic
     assert is_symplectic(SympMatrix([[1, 0], [1, 1]]))
 
