@@ -17,7 +17,8 @@ Exit codes:
     11  linear part not invertible
     12  linear part (or supplied matrix) not symplectic
     13  hbar scale factor is not 1
-    14  logarithm fails the integrability (closedness) check
+    14  a grade of the inner generator fails the integrability
+        (closedness) check; the message names the grade and variable
     15  recomposed factorization does not match the input
 
 The default truncation order is 8, overridable by the WEYL_MAX_GRADE

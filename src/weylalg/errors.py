@@ -122,7 +122,11 @@ class LinearPartNotSymplecticError(FactorizationError):
 
 
 class ClosednessError(FactorizationError):
-    """Gradient 1-form of the logarithm is not closed: input was not a morphism."""
+    """A grade of the generator has a gradient 1-form that is not closed.
+
+    The input was not a morphism. The message names the lowest failing
+    grade of the generator and the variable where the check failed.
+    """
 
     exit_code = 14
 

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylalg import (
     Context,
@@ -437,6 +437,36 @@ def test_record_loaders_load_or_fail_with_exit_code(rec):
             load(rec)
         except WeylError as exc:
             assert exc.exit_code != 1, repr(exc)
+
+
+def _spliced(rec, at, junk, encoding):
+    data = dumps_record(rec).encode(encoding)
+    at %= len(data) + 1
+    return data[:at] + junk + data[at:]
+
+
+_record_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.text(st.sampled_from('{}[]":,-+.0123456789eE tnfalsru\\\n'),
+            max_size=64).map(str.encode),
+    st.builds(_spliced, _record, st.integers(0, 4000), st.binary(max_size=8),
+              st.sampled_from(["utf-8", "utf-8-sig", "utf-16"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_bytes)
+@example(b"[" * 100000)
+@example(b'{"dim": ' + b"9" * 5000 + b"}")
+@example(b'"\xed\xa0\x80"')
+def test_load_record_loads_or_fails_with_exit_2_or_3(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_record.json"
+    path.write_bytes(data)
+    try:
+        rec = load_record(path)
+    except WeylError as exc:
+        assert exc.exit_code in (2, 3), repr(exc)
+    else:
+        assert isinstance(rec, dict)
 
 
 def test_dumps_record_is_sorted_and_indented():

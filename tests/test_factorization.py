@@ -13,6 +13,7 @@ from weylalg import (
     NotSymplecticError,
     ResidualMismatchError,
     SympMatrix,
+    WeylElement,
     compose,
     dual_gradient,
     factor,
@@ -24,6 +25,7 @@ from weylalg import (
     pullback_automorphism,
     verify_factorization,
 )
+from weylalg.factorization import _solve_generator
 from weylalg.sampling import random_inner_generator, random_instance
 from weylalg.symplectic import random_symplectic_rng
 
@@ -76,6 +78,52 @@ def test_factor_error_taxonomy(ctx1):
         factor(_auto(ctx1, "x1", "2*p1"))
     with pytest.raises(ClosednessError, match="at variable x1$"):
         factor(_auto(ctx1, "x1 + x1^3", "p1"))
+
+
+def test_closedness_error_names_the_generator_grade(ctx1):
+    # S_3 = x1^3 solves grade 2 exactly; the x1^4 left at grade 4 is not
+    # a gradient, so the solve stops at grade 5 of S
+    with pytest.raises(ClosednessError,
+                       match="generator grade 5 at variable x1$"):
+        factor(_auto(ctx1, "x1 + x1^4", "p1 - 3*x1^2"))
+    # on a whole derivation the lowest failing grade is named
+    dv = log_automorphism(_auto(ctx1, "x1 + x1^3 + x1^5", "p1 + x1^6"))
+    with pytest.raises(ClosednessError,
+                       match="generator grade 4 at variable x1$"):
+        poincare_integrate(dv)
+
+
+def test_solve_generator_matches_the_logarithm(rng):
+    # the grade-by-grade solve against the log route, on inner
+    # automorphisms and on perturbations of them that are not closed
+    hbar_terms = 0
+    for d in (1, 2, 3):
+        for trunc in (4, 6, 8, 10):
+            ctx = Context(d, trunc)
+            for complex_scalars in (False, True):
+                s = random_inner_generator(rng, ctx, 6 if d < 3 else 4,
+                                           complex_scalars=complex_scalars)
+                hbar_terms += sum(mono.hpow > 0 for mono in s.terms())
+                psi = inner_automorphism(s, ctx)
+                solved = _solve_generator(psi)
+                assert solved == s
+                assert solved.ctx == ctx.lifted()
+                assert poincare_integrate(log_automorphism(psi)) == s
+                # x1^j (times hbar^h) in the image of x1 is no gradient
+                j = rng.randint(1, trunc - 2)
+                h = rng.randint(0, (trunc - j) // 2) if j > 1 else 1
+                images = list(psi.images)
+                images[0] = images[0] + WeylElement.monomial(
+                    ctx, h, (j,) + (0,) * (2 * d - 1), 2)
+                bad = AutomorphismData(ctx, images)
+                with pytest.raises(ClosednessError) as by_log:
+                    poincare_integrate(log_automorphism(bad))
+                with pytest.raises(ClosednessError) as by_grade:
+                    _solve_generator(bad)
+                assert str(by_grade.value) == str(by_log.value)
+                assert f"generator grade {j + 2 * h + 1} " \
+                    in str(by_grade.value)
+    assert hbar_terms
 
 
 def test_factor_raises_on_forced_residual_failure(ctx1, monkeypatch):

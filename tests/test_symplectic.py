@@ -61,7 +61,7 @@ def test_identity_inverse_product():
         m @ i2
 
 
-def test_inverse_reuses_the_held_inverse(monkeypatch):
+def test_symplectic_matrices_are_never_eliminated(monkeypatch):
     # a symplectic matrix is never eliminated: its inverse is J^-1 M^T J
     def eliminate(rows):
         raise AssertionError("a symplectic matrix was eliminated")
