@@ -22,15 +22,17 @@ exponent tuple, so repeated applications (composition, logarithms,
 verification sweeps) stay cheap.
 
 exp/log convert between derivations with images in X_2 and automorphisms
-with identity linear part. These series, and inner(S) = exp((i/hbar) ad_S),
-terminate exactly because each step raises the lowest grade.
+with identity linear part. exp, and inner(S) = exp((i/hbar) ad_S), are
+series that terminate exactly because each step raises the lowest grade.
+log is no series: it reads D off one grade at a time, each grade the part
+of phi(z_k) that exp of the lower grades does not yet produce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .elements import Context, WeylElement, _acc_add, monomials_of_grade
+from .elements import MIN_TRUNC, Context, WeylElement, _acc_add, monomials_of_grade
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -273,12 +275,8 @@ def verify_morphism(phi, max_grade):
     return MorphismReport(not failures, failures, pairs)
 
 
-def _inv_factorial(m):
-    return Fraction(1, _fact(m))
-
-
-def _series(start, step, coeff):
-    """start + sum_{m >= 1} coeff(m) * step^m(start), up to the first zero term.
+def _series(start, step):
+    """start + sum_{m >= 1} step^m(start) / m!, up to the first zero term.
 
     Every caller's step raises the lowest grade, so the terms vanish in the
     truncated algebra after at most trunc + 2 steps.
@@ -290,7 +288,7 @@ def _series(start, step, coeff):
         if m > start.ctx.trunc + 2:
             raise InternalError("series failed to terminate")
         cur = step(cur)
-        total = total + cur.scale(coeff(m))
+        total = total + cur.scale(Fraction(1, _fact(m)))
     return total
 
 
@@ -308,7 +306,7 @@ def inner_automorphism(s, ctx):
         raise InnerGeneratorError(
             f"inner generator has a term of grade {lg}; all terms must have grade >= 3")
     images = [_series(WeylElement.variable(ctx, k),
-                      lambda cur: scaled_bracket(s, cur), _inv_factorial)
+                      lambda cur: scaled_bracket(s, cur))
               for k in range(ctx.nvars)]
     return AutomorphismData(ctx, images, G_ONE)
 
@@ -356,7 +354,7 @@ def exp_derivation(dv):
     """
     ctx = dv.ctx
     _require_kernel_images(ctx, dv.images, "exp")
-    images = [_series(WeylElement.variable(ctx, k), dv.apply, _inv_factorial)
+    images = [_series(WeylElement.variable(ctx, k), dv.apply)
               for k in range(ctx.nvars)]
     return AutomorphismData(ctx, images, G_ONE)
 
@@ -364,8 +362,13 @@ def exp_derivation(dv):
 def log_automorphism(phi):
     """log of an automorphism with identity linear part and fixed hbar.
 
-    Returns the DerivationData with D = sum_m (-1)^(m+1) (phi - id)^m / m
-    on each generator; the series is finite because phi - id raises grade.
+    Returns the derivation D with exp(D) = phi, solved one grade at a time.
+    A term of exp(D)(z_k) that holds D_g, the grade-g part of D's images,
+    has grade g or more, and at grade g it is D_g(z_k) alone. So D_g(z_k)
+    is the grade-g part of phi(z_k) - exp(D_<g)(z_k), and exp(D_<g) is
+    built in a context truncated at grade g. Only phi's images are read,
+    so exp_derivation(log_automorphism(phi)) has phi's images for any
+    images in z_k + X_2, whether or not they define an automorphism.
     """
     ctx = phi.ctx
     if not phi.hbar_scale.is_one():
@@ -373,7 +376,14 @@ def log_automorphism(phi):
     diffs = [phi.images[k] - WeylElement.variable(ctx, k)
              for k in range(ctx.nvars)]
     _require_kernel_images(ctx, diffs, "log (phi - id)")
-    images = [_series(diff, lambda cur: phi.apply(cur) - cur,
-                      lambda m: Fraction(-1 if m % 2 else 1, m + 1))
-              for diff in diffs]
-    return DerivationData(ctx, images)
+    accs = [{} for _ in diffs]
+    for g in range(2, ctx.trunc + 1):
+        sub = Context(ctx.dim, max(g, MIN_TRUNC))
+        low = exp_derivation(DerivationData(
+            sub, [WeylElement._from_acc(sub, acc) for acc in accs]))
+        for acc, diff, image in zip(accs, diffs, low.images):
+            for key, (re, im) in diff._buckets().get(g, ()):
+                _acc_add(acc, key, re, im)
+            for key, (re, im) in image._buckets().get(g, ()):
+                _acc_add(acc, key, -re, -im)
+    return DerivationData(ctx, [WeylElement._from_acc(ctx, acc) for acc in accs])

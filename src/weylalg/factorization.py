@@ -12,16 +12,13 @@ determined up to truncation. The constructive direction implemented here:
      its images are the substitutions phi(z_k)(M^-1 z), which is exact
      because M has just been checked to be symplectic, and a symplectic
      linear map acts on Weyl symbols by plain substitution,
-  3. solve psi = inner(S) one grade of S at a time: adding the grade-g
-     part S_g changes inner(S)(z_k) at grade g - 1 only by
-     (i/hbar)[S_g, z_k], so the grade-(g-1) part of
-     psi(z_k) - inner(S_<g)(z_k) is the derivation (i/hbar) ad_{S_g} on
-     the generators,
-  4. integrate that derivation's dual gradient to S_g by the radial
-     (Euler) formula, one extra grade of truncation; the integration
-     checks that the gradient is exact, which for a polynomial 1-form is
-     the same as closed, so a non-morphism stops at the first grade of S
-     that cannot be solved,
+  3. take D = log(psi), a derivation with images in X_2, solved one
+     grade at a time: the grade-g part of D(z_k) is the grade-g part of
+     psi(z_k) - exp(D_<g)(z_k),
+  4. integrate D's dual gradient to S by the radial (Euler) formula, one
+     extra grade of truncation; the integration checks that the gradient
+     is exact, which for a polynomial 1-form is the same as closed, and
+     names the lowest grade of S that is not,
   5. recompose and compare against phi term by term.
 
 Each step is exact; the final comparison either certifies the answer on
@@ -36,14 +33,13 @@ from fractions import Fraction
 
 from .automorphism import (
     AutomorphismData,
-    DerivationData,
     compose,
-    exp_derivation,
     inner_automorphism,
     linear_part,
+    log_automorphism,
     pullback_automorphism,
 )
-from .elements import MIN_TRUNC, Context, WeylElement, _acc_add, _key_grade
+from .elements import WeylElement, _acc_add, _key_grade
 from .errors import (
     ClosednessError,
     HbarScaleError,
@@ -54,7 +50,6 @@ from .errors import (
     ResidualMismatchError,
     SingularMatrixError,
 )
-from .star import scaled_bracket
 from .symplectic import SympMatrix, pullback
 
 
@@ -111,37 +106,6 @@ def _lowest_differing_grade(a, b):
     ra, rb = a._raw, b._raw
     return min((_key_grade(key) for key in ra.keys() | rb.keys()
                 if ra.get(key) != rb.get(key)), default=None)
-
-
-def _solve_generator(psi):
-    """The generator S with psi = inner(S), solved one grade at a time.
-
-    psi fixes hbar and has identity linear part. With S_<g solved, the
-    grade-(g-1) part of psi(z_k) - inner(S_<g)(z_k) is (i/hbar)[S_g, z_k],
-    which poincare_integrate turns into S_g, checking closedness at that
-    grade. inner(S_<g) is needed only up to grade g - 1, so it is built in
-    a context truncated there, as exp of the derivation (i/hbar) ad_{S_<g}:
-    the derivation star recursion, not inner_automorphism's bracket
-    series, so that verify's recomposition stays an independent check.
-    S lives one truncation order above psi's context.
-    """
-    ctx = psi.ctx
-    d, n = ctx.dim, ctx.nvars
-    s = WeylElement.zero(ctx.lifted())
-    for g in range(3, ctx.trunc + 2):
-        residuals = [dict(im._buckets().get(g - 1, ())) for im in psi.images]
-        if not s.is_zero():
-            sub = Context(d, max(g - 1, MIN_TRUNC))
-            partial = exp_derivation(DerivationData(sub, [
-                scaled_bracket(s, WeylElement.variable(sub, k))
-                for k in range(n)]))
-            for acc, image in zip(residuals, partial.images):
-                for key, (re, im) in image._buckets().get(g - 1, ()):
-                    _acc_add(acc, key, -re, -im)
-        residuals = [WeylElement._from_acc(ctx, acc) for acc in residuals]
-        if any(not r.is_zero() for r in residuals):
-            s = s + poincare_integrate(DerivationData(ctx, residuals))
-    return s
 
 
 def kernel_check(phi):
@@ -220,16 +184,18 @@ def factor(phi):
     """Split phi into (matrix, generator) with a verification report.
 
     The linear part M is read off and peeled by substitution, and the
-    generator S of the remaining kernel automorphism psi is solved grade
-    by grade; verify_factorization then recomposes pullback(M) o inner(S)
-    through the star recursion and compares it to phi.
+    generator S of the remaining kernel automorphism psi is the radial
+    integral of log(psi), which log_automorphism solves grade by grade;
+    verify_factorization then recomposes pullback(M) o inner(S) through
+    the bracket series and the star recursion and compares it to phi.
 
     Raises HbarScaleError, LinearPartNotInvertibleError,
     LinearPartNotSymplecticError or ClosednessError when phi is not of the
     required form; the error identifies the first obstruction encountered,
     for ClosednessError the lowest grade of S that cannot be solved.
     ResidualMismatchError means the recomposition disagrees with phi,
-    which the grade-by-grade solve rules out unless the code is at fault.
+    which exp(log(psi)) = psi rules out once S integrates, unless the
+    code is at fault.
     """
     if not phi.hbar_scale.is_one():
         try:
@@ -248,7 +214,7 @@ def factor(phi):
     # M is symplectic, so pullback(M^-1) acts on each image by substitution
     minv = m.inverse()
     psi = AutomorphismData(phi.ctx, [pullback(minv, im) for im in phi.images])
-    s = _solve_generator(psi)
+    s = poincare_integrate(log_automorphism(psi))
     report = verify_factorization(phi, m, s)
     if not report.passed:
         bad = report.first_failure()

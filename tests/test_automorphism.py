@@ -241,6 +241,23 @@ def test_exp_log_roundtrip_random(rng):
             assert all(a == b for a, b in zip(back.images, dv.images))
 
 
+def test_exp_of_log_reproduces_any_kernel_images(rng):
+    # log reads only phi's images: exp(log(phi)) gives them back whether
+    # or not they define an automorphism
+    for d in (1, 2):
+        for trunc in (4, 6, 8):
+            ctx = Context(d, trunc)
+            for i in range(8):
+                phi = AutomorphismData(ctx, [
+                    _x(ctx, k) + random_element(
+                        rng, ctx, 3, min_grade=2, complex_scalars=i % 3 == 0)
+                    for k in range(ctx.nvars)])
+                assert exp_derivation(log_automorphism(phi)).images \
+                    == phi.images
+    ident = identity_automorphism(Context(2, 6))
+    assert all(im.is_zero() for im in log_automorphism(ident).images)
+
+
 def test_log_preconditions(ctx1):
     shear = AutomorphismData(ctx1, [_parse("x1", ctx1), _parse("p1 + x1", ctx1)])
     with pytest.raises(KernelPreconditionError):

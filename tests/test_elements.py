@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -60,6 +61,29 @@ def test_no_unused_imports():
     found = [u for root in roots for path in sorted(root.glob("*.py"))
              for u in _unused_imports(path)]
     assert found == []
+
+
+def _read_names(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _unreferenced_private_helpers(root):
+    """Module-level private functions and classes named nowhere but in
+    their own definitions."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("*.py"))}
+    read = Counter(name for tree in trees.values() for name in _read_names(tree))
+    return [f"{path.name}:{node.lineno}: {node.name}"
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and read[node.name] == _read_names(node).count(node.name)]
+
+
+def test_no_unreferenced_private_helpers():
+    root = pathlib.Path(weylalg.__file__).parent
+    assert _unreferenced_private_helpers(root) == []
 
 
 def test_variable_names():
