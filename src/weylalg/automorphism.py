@@ -31,6 +31,7 @@ of phi(z_k) that exp of the lower grades does not yet produce.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .elements import MIN_TRUNC, Context, WeylElement, _acc_add, monomials_of_grade
 from .errors import (
@@ -42,7 +43,7 @@ from .errors import (
     KernelPreconditionError,
 )
 from .scalars import G_MINUS_I, G_ONE, GaussianRational, QONE, QZERO
-from .star import _fact, _moyal_raw, commutator, moyal, scaled_bracket
+from .star import _moyal_raw, commutator, moyal, scaled_bracket
 from .symplectic import SympMatrix, pullback, symplectic_form
 
 
@@ -54,7 +55,7 @@ class _StarRecursionMap:
     symmetric product. apply scales each hbar of its argument by c.
     """
 
-    __slots__ = ("ctx", "images", "_c", "_hpows", "_memo")
+    __slots__ = ("ctx", "images", "_c", "_memo")
 
     def __init__(self, ctx, images, c):
         if not isinstance(ctx, Context):
@@ -78,21 +79,10 @@ class _StarRecursionMap:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_c", c)
-        # powers of c as (re, im), or None when c = 1 and apply skips them
-        object.__setattr__(
-            self, "_hpows", None if c.is_one() else [(QONE, QZERO), (c.re, c.im)])
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _scale_pow(self, h):
-        lst = self._hpows
-        c = self._c
-        while len(lst) <= h:
-            pre, pim = lst[-1]
-            lst.append((pre * c.re - pim * c.im, pre * c.im + pim * c.re))
-        return lst[h]
 
     def _image_buckets(self, e):
         """Buckets of the image of the plain monomial z^e."""
@@ -117,12 +107,12 @@ class _StarRecursionMap:
             raise ContextError(
                 f"element context {a.ctx} != {self._kind} context {self.ctx}")
         trunc = self.ctx.trunc
-        scaled = self._hpows is not None
+        c = self._c
         acc = {}
         for (h, e), (re, im) in a._raw.items():
-            if h and scaled:
-                pre, pim = self._scale_pow(h)
-                re, im = re * pre - im * pim, re * pim + im * pre
+            if h and not c.is_one():
+                ch = c ** h
+                re, im = re * ch.re - im * ch.im, re * ch.im + im * ch.re
             shift = 2 * h
             for g, items in self._image_buckets(e).items():
                 if g + shift > trunc:
@@ -136,7 +126,7 @@ class _StarRecursionMap:
         ims = ", ".join(
             f"{self.ctx.variable_name(k)} -> {im}"
             for k, im in enumerate(self.images))
-        scale = "" if self._hpows is None else f" c={self._c}"
+        scale = "" if self._c.is_one() else f" c={self._c}"
         return f"<{self._kind.capitalize()} {self.ctx}{scale} [{ims}]>"
 
 
@@ -288,7 +278,7 @@ def _series(start, step):
         if m > start.ctx.trunc + 2:
             raise InternalError("series failed to terminate")
         cur = step(cur)
-        total = total + cur.scale(Fraction(1, _fact(m)))
+        total = total + cur.scale(Fraction(1, factorial(m)))
     return total
 
 

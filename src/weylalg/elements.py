@@ -37,7 +37,9 @@ class Context:
     trunc: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        # bool is an int, but True would act as dim 1 (a bool trunc is < 4)
+        if (not isinstance(self.dim, int) or isinstance(self.dim, bool)
+                or self.dim < 1):
             raise ContextError(f"dim must be a positive int, got {self.dim!r}")
         if not isinstance(self.trunc, int) or self.trunc < MIN_TRUNC:
             raise ContextError(

@@ -28,49 +28,30 @@ P^j is expanded per term pair by multinomial enumeration over the 2d
 derivative directions; each surviving combination contributes
 
     (-1)^{|l|} (-i/2)^{|k|+|l|} / (k! l!) *
-    ff(a_xi, k) ff(b_x, k) ff(a_x, l) ff(b_xi, l)
+    perm(a_xi, k) perm(b_x, k) perm(a_x, l) perm(b_xi, l)
 
-with ff the falling factorial, j = |k|+|l| added to the hbar power, and
-k+l subtracted from both paired exponents. All grade-(m+n) terms of a
-grade-m times grade-n product coincide, so truncation prunes whole term
-pairs, never single combinations.
+with perm the falling factorial, j = |k|+|l| added to the hbar power, and
+k+l subtracted from both paired exponents. The rational part is
+num / (k! l! 2^j); (-i)^j is a quarter turn of the pair's coefficient,
+applied as signs and a swap of its real and imaginary parts. All
+grade-(m+n) terms of a grade-m times grade-n product coincide, so
+truncation prunes whole term pairs, never single combinations.
+
+Every term pair takes the same rule. The orders j of a pair are bounded by
+jmax = sum_p (kmax_p + lmax_p), and the rule stops after the j = 0 term
+when no order of the kept parity can occur: jmax = 0, or only even orders
+kept and jmax <= 1. A bare variable z_k has jmax <= 1 against anything, so
+z_k o b, the step of the star recursion, costs one product and one key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _iproduct
+from math import factorial, perm
 
 from .elements import WeylElement, _acc_add, _require_same_ctx, _require_same_dim
 from .errors import InternalError
-from .scalars import QONE, QZERO
-
-# (-i/2)^j as (re, im) pairs, extended on demand
-_IHALF = [(QONE, QZERO)]
-
-
-def _ihalf(j):
-    while len(_IHALF) <= j:
-        # (re + i*im) * (-i/2) = im/2 - i*re/2
-        re, im = _IHALF[-1]
-        _IHALF.append((im / 2, -re / 2))
-    return _IHALF[j]
-
-
-_FACT = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
-
-
-def _fact(n):
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
-
-
-def _ff(n, k):
-    f = 1
-    for t in range(k):
-        f *= n - t
-    return f
 
 
 def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
@@ -86,50 +67,27 @@ def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
             if ga + gb > cutoff:
                 continue
             for (h1, e1), (re1, im1) in items_a:
-                left_linear = ga == 1 and h1 == 0
-                if left_linear:
-                    k = e1.index(1)
                 for (h2, e2), (re2, im2) in items_b:
-                    pre = re1 * re2 - im1 * im2
-                    pim = re1 * im2 + im1 * re2
-                    if left_linear:
-                        _linear_pair(acc, d, k, h2, e2, pre, pim, parity)
-                    else:
-                        _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity)
+                    _moyal_pair(acc, d, h1, e1, h2, e2, re1 * re2 - im1 * im2,
+                                re1 * im2 + im1 * re2, parity)
     return acc
 
 
-def _linear_pair(acc, d, k, h2, e2, pre, pim, parity):
-    # left factor is the bare variable z_k: only j = 0 and j = 1 survive
-    if parity != 1:
-        _acc_add(acc, (h2, e2[:k] + (e2[k] + 1,) + e2[k + 1:]), pre, pim)
-    if parity == 0:
-        return
-    # the j=1 term is -(hbar/2i) d_xi_p b for x_p * b and +(hbar/2i) d_x_p b
-    # for xi_p * b: times s*n*i/2, s = 1 for an x pivot and -1 for xi
-    if k < d:
-        q, sign = k + d, 1
-    else:
-        q, sign = k - d, -1
-    n = e2[q]
-    if n:
-        half = Fraction(sign * n, 2)
-        _acc_add(acc, (h2 + 1, e2[:q] + (n - 1,) + e2[q + 1:]),
-                 -pim * half, pre * half)
-
-
-def _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
+def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
     base = tuple(map(int.__add__, e1, e2))
     if parity != 1:
         _acc_add(acc, (h1 + h2, base), pre, pim)
 
     active = []
+    jmax = 0
     for p in range(d):
         kmax = e1[d + p] if e1[d + p] < e2[p] else e2[p]
         lmax = e1[p] if e1[p] < e2[d + p] else e2[d + p]
         if kmax or lmax:
             active.append((p, kmax, lmax))
-    if not active:
+            jmax += kmax + lmax
+    # no order j >= 1 of the kept parity can occur
+    if not jmax or (parity == 0 and jmax == 1):
         return
 
     # per dimension: (jp, denominator kp! lp!, dimension, signed numerator)
@@ -140,12 +98,12 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
         b_x, b_xi = e2[p], e2[d + p]
         lst = []
         for kp in range(kmax + 1):
-            fk = _ff(a_xi, kp) * _ff(b_x, kp)
+            fk = perm(a_xi, kp) * perm(b_x, kp)
             for lp in range(lmax + 1):
-                num = fk * _ff(a_x, lp) * _ff(b_xi, lp)
+                num = fk * perm(a_x, lp) * perm(b_xi, lp)
                 if lp & 1:
                     num = -num
-                lst.append((kp + lp, _fact(kp) * _fact(lp), p, num))
+                lst.append((kp + lp, factorial(kp) * factorial(lp), p, num))
         lists.append(lst)
 
     # the parity of j that is dropped; j & 1 is never None
@@ -162,16 +120,17 @@ def _general_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
                 den *= dn
         if not j or j & 1 == skip:
             continue
-        tre, tim = _ihalf(j)
-        q = Fraction(num, den) if den != 1 else num
+        q = Fraction(num, den << j)
+        # (pre + i*pim) * (-i)^j: (-i)^2 = -1, and (-i) maps (re, im) to (im, -re)
+        tre, tim = (-pre, -pim) if j & 2 else (pre, pim)
+        if j & 1:
+            tre, tim = tim, -tre
         es = list(base)
         for jp, _dn, p, _nm in combo:
             if jp:
                 es[p] -= jp
                 es[d + p] -= jp
-        key = (hbase + j, tuple(es))
-        _acc_add(acc, key, (pre * tre - pim * tim) * q,
-                 (pre * tim + pim * tre) * q)
+        _acc_add(acc, (hbase + j, tuple(es)), tre * q, tim * q)
 
 
 def moyal(a, b):
@@ -192,31 +151,28 @@ def poisson(a, b):
     return out
 
 
-def _commutator_raw(a, b, cutoff):
-    """Accumulator of a * b - b * a up to grade cutoff, zero entries included.
+def commutator(a, b):
+    """Star commutator a * b - b * a.
 
     b * a is a * b with each order j signed (-1)^j, so the commutator is
     twice the odd-j terms of a * b: one kernel pass.
     """
-    acc = _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, cutoff, 1)
-    return {k: (re + re, im + im) for k, (re, im) in acc.items()}
-
-
-def commutator(a, b):
-    """Star commutator a * b - b * a."""
     _require_same_ctx(a, b)
-    return WeylElement._from_acc(a.ctx, _commutator_raw(a, b, a.ctx.trunc))
+    acc = _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc, 1)
+    return WeylElement._from_acc(
+        a.ctx, {k: (re + re, im + im) for k, (re, im) in acc.items()})
 
 
 def scaled_bracket(a, b):
     """(i/hbar)[a, b]: exact, grade m+n-2, result trunc = min of operands."""
     _require_same_dim(a, b)
     ctx = a.ctx if a.ctx.trunc <= b.ctx.trunc else b.ctx
-    # the bracket peeks two grades above the quotient; each term is
-    # multiplied by i and divided by one power of hbar
+    # the bracket peeks two grades above the quotient; each term of the
+    # commutator, twice the odd orders, is multiplied by i and divided by
+    # one power of hbar
+    acc = _moyal_raw(a._buckets(), b._buckets(), ctx.dim, ctx.trunc + 2, 1)
     out = WeylElement._from_acc(ctx, {
-        (h - 1, e): (-im, re)
-        for (h, e), (re, im) in _commutator_raw(a, b, ctx.trunc + 2).items()})
+        (h - 1, e): (-im - im, re + re) for (h, e), (re, im) in acc.items()})
     if any(h < 0 for h, _e in out._raw):
         raise InternalError(
             "commutator produced a term without an hbar factor; "

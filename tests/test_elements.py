@@ -28,6 +28,8 @@ def test_context_validation():
         Context(0, 8)
     with pytest.raises(ContextError):
         Context(1, 3)  # below the minimum order the algebra degenerates
+    with pytest.raises(ContextError):
+        Context(True, 8)
 
 
 def test_all_names_resolve_once():
@@ -68,17 +70,31 @@ def _read_names(node):
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def _private_definitions(tree):
+    """(name, statement) of each module-level private function, class or
+    assigned name; dunders such as __all__ are not helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
 def _unreferenced_private_helpers(root):
-    """Module-level private functions and classes named nowhere but in
-    their own definitions."""
+    """Module-level private functions, classes and assigned names (tables,
+    caches) named nowhere but in their own definitions."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(root.glob("*.py"))}
     read = Counter(name for tree in trees.values() for name in _read_names(tree))
-    return [f"{path.name}:{node.lineno}: {node.name}"
-            for path, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_")
-            and read[node.name] == _read_names(node).count(node.name)]
+    return [f"{path.name}:{node.lineno}: {name}"
+            for path, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if read[name] == _read_names(node).count(name)]
 
 
 def test_no_unreferenced_private_helpers():

@@ -5,6 +5,8 @@ frozen; randomized cases are checked against the independent sympy oracle
 in oracles.py.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from weylalg import (
@@ -19,6 +21,7 @@ from weylalg import (
     scaled_bracket,
 )
 from weylalg.sampling import random_element
+from weylalg.star import _moyal_raw
 
 from oracles import assert_matches, poisson_oracle, star_oracle, to_sympy
 
@@ -104,8 +107,8 @@ def test_star_is_homogeneous_on_homogeneous_inputs(ctx2):
                     assert r.grades() in ([], [m + n])
 
 
-def test_linear_left_fast_path_agrees_with_bracket_identity(rng, ctx2):
-    # x star b = x b + (h/2i) {x, b}; exercises the dedicated code path
+def test_linear_left_factor_agrees_with_bracket_identity(rng, ctx2):
+    # x star b = x b + (h/2i) {x, b}
     half_over_i = GaussianRational(0, "-1/2")
     for k in range(4):
         z = WeylElement.variable(ctx2, k)
@@ -165,13 +168,27 @@ def test_scaled_bracket_mixed_truncations(ctx1):
 
 
 def test_commutator_is_difference_of_products(rng):
-    # the one-pass kernel against its definition a * b - b * a
+    # the one-pass kernel against its definition a * b - b * a, and each
+    # parity half of the kernel against (a * b +- b * a)/2; bare variables
+    # and linear forms on the left meet the order bound that ends a pair
+    # after its j = 0 term
+    half = Fraction(1, 2)
     for d in (1, 2):
         ctx = Context(d, 8)
-        for _ in range(8):
-            a = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
+        lefts = [WeylElement.variable(ctx, k) for k in range(ctx.nvars)]
+        lefts += [random_element(rng, ctx, 3, min_grade=1, max_grade=1,
+                                 complex_scalars=True, allow_h=False)
+                  for _ in range(2)]
+        lefts += [random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
+                  for _ in range(8)]
+        for a in lefts:
             b = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
-            assert commutator(a, b) == moyal(a, b) - moyal(b, a)
+            ab, ba = moyal(a, b), moyal(b, a)
+            assert commutator(a, b) == ab - ba
+            for parity, want in ((0, ab + ba), (1, ab - ba)):
+                got = WeylElement._from_acc(ctx, _moyal_raw(
+                    a._buckets(), b._buckets(), d, ctx.trunc, parity))
+                assert got == want.scale(half)
 
 
 def test_scaled_bracket_is_lifted_commutator(rng):
