@@ -12,6 +12,9 @@ Internally a term map is a plain dict keyed by (hpow, exps) with values
 automorphism modules work on these raw dicts directly. They sum into an
 accumulator with _acc_add and turn it into an element with
 WeylElement._from_acc, which drops the entries that cancelled to zero.
+The kernels that run on integers, the Moyal product and the substitution
+pullback, write their inputs over one common denominator with
+_gaussian_numerators and divide once per output term.
 The public surface exposes Monomial keys and GaussianRational coefficients.
 
 Variable indexing is 0-based: index k < d is x_{k+1}, index k >= d is
@@ -21,6 +24,7 @@ xi_{k-d+1} (printed as p{k-d+1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ContextError
@@ -319,6 +323,25 @@ def _acc_add(acc, key, re, im):
         acc[key] = (re, im)
     else:
         acc[key] = (cur[0] + re, cur[1] + im)
+
+
+def _gaussian_numerators(groups):
+    """Groups of raw terms written over one denominator, as Gaussian integers.
+
+    groups maps a label to a list of (key, (re, im)) with rational parts.
+    Returns (den, {label: [(key, nre, nim), ...]}), den the lcm of every
+    denominator, re = nre / den and im = nim / den: one int multiply per
+    part, no Fraction arithmetic.
+    """
+    den = 1
+    for items in groups.values():
+        for _key, (re, im) in items:
+            den = lcm(den, re.denominator, im.denominator)
+    return den, {
+        label: [(key, re.numerator * (den // re.denominator),
+                 im.numerator * (den // im.denominator))
+                for key, (re, im) in items]
+        for label, items in groups.items()}
 
 
 def _cmul_raw(buckets_a, buckets_b, cutoff):

@@ -37,6 +37,18 @@ applied as signs and a swap of its real and imaginary parts. All
 grade-(m+n) terms of a grade-m times grade-n product coincide, so
 truncation prunes whole term pairs, never single combinations.
 
+The arithmetic runs on integers. Only the grade buckets of an operand
+that meet some bucket of the other within the cutoff take part. Each
+operand is written once as Gaussian-integer numerators over the lcm
+D_a (D_b) of its denominators, and every weight is scaled by
+L = jtop! 2^jtop to the integer num * (L / (k! l! 2^j)): k! l! divides
+j!, which divides jtop!. An order j takes j from the z-degree of both
+factors, which a term's grade bounds, and needs 2j <= cutoff, so jtop is
+the least of cutoff // 2 and the two operands' top grades; a huge
+truncation leaves L small when the operands are small. The accumulated
+numerators are divided once per output key, by D_a * D_b * L, the only
+place the kernel makes a Fraction.
+
 Every term pair takes the same rule. The orders j of a pair are bounded by
 jmax = sum_p (kmax_p + lmax_p), and the rule stops after the j = 0 term
 when no order of the kept parity can occur: jmax = 0, or only even orders
@@ -50,8 +62,11 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, perm
 
-from .elements import WeylElement, _acc_add, _require_same_ctx, _require_same_dim
+from .elements import (
+    WeylElement, _acc_add, _gaussian_numerators, _require_same_ctx,
+    _require_same_dim)
 from .errors import InternalError
+from .scalars import QZERO
 
 
 def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
@@ -61,22 +76,39 @@ def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
     symmetric product (a*b + b*a)/2) and 1 only the odd j ((a*b - b*a)/2).
     Returns the accumulator, zero entries included.
     """
+    # the buckets that meet some bucket of the other operand within the
+    # cutoff; either both operands keep some or neither does
+    if not buckets_a or not buckets_b:
+        return {}
+    top_a, top_b = cutoff - min(buckets_b), cutoff - min(buckets_a)
+    live_a = {g: items for g, items in buckets_a.items() if g <= top_a}
+    if not live_a:
+        return {}
+    live_b = {g: items for g, items in buckets_b.items() if g <= top_b}
+    den_a, ints_a = _gaussian_numerators(live_a)
+    den_b, ints_b = _gaussian_numerators(live_b)
+    # L = jtop! 2^jtop, jtop bounded by the operands (module docstring)
+    jtop = min(cutoff // 2, max(live_a), max(live_b))
+    scale = factorial(jtop) << jtop
     acc = {}
-    for ga, items_a in buckets_a.items():
-        for gb, items_b in buckets_b.items():
+    for ga, items_a in ints_a.items():
+        for gb, items_b in ints_b.items():
             if ga + gb > cutoff:
                 continue
-            for (h1, e1), (re1, im1) in items_a:
-                for (h2, e2), (re2, im2) in items_b:
+            for (h1, e1), re1, im1 in items_a:
+                for (h2, e2), re2, im2 in items_b:
                     _moyal_pair(acc, d, h1, e1, h2, e2, re1 * re2 - im1 * im2,
-                                re1 * im2 + im1 * re2, parity)
-    return acc
+                                re1 * im2 + im1 * re2, parity, scale)
+    den = den_a * den_b * scale
+    return {key: (Fraction(re, den) if re else QZERO,
+                  Fraction(im, den) if im else QZERO)
+            for key, (re, im) in acc.items()}
 
 
-def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
+def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity, scale):
     base = tuple(map(int.__add__, e1, e2))
     if parity != 1:
-        _acc_add(acc, (h1 + h2, base), pre, pim)
+        _acc_add(acc, (h1 + h2, base), pre * scale, pim * scale)
 
     active = []
     jmax = 0
@@ -120,7 +152,7 @@ def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
                 den *= dn
         if not j or j & 1 == skip:
             continue
-        q = Fraction(num, den << j)
+        w = num * (scale // (den << j))
         # (pre + i*pim) * (-i)^j: (-i)^2 = -1, and (-i) maps (re, im) to (im, -re)
         tre, tim = (-pre, -pim) if j & 2 else (pre, pim)
         if j & 1:
@@ -130,7 +162,7 @@ def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity):
             if jp:
                 es[p] -= jp
                 es[d + p] -= jp
-        _acc_add(acc, (hbase + j, tuple(es)), tre * q, tim * q)
+        _acc_add(acc, (hbase + j, tuple(es)), tre * w, tim * w)
 
 
 def moyal(a, b):

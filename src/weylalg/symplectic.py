@@ -13,10 +13,10 @@ engine's bracket convention J = [[0, -I], [I, 0]].
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .elements import Context, WeylElement, MIN_TRUNC, _acc_add
+from .elements import (
+    Context, WeylElement, MIN_TRUNC, _acc_add, _gaussian_numerators)
 from .errors import ContextError, NotSymplecticError, SingularMatrixError
 from .scalars import G_ONE, G_ZERO, GaussianRational, rational
 from .star import poisson
@@ -166,13 +166,6 @@ def _require_matrix_dim(m, ctx):
             f"matrix is for dim {m.dim}, context has dim {ctx.dim}")
 
 
-def _lcm_denominators(values):
-    den = 1
-    for v in values:
-        den = math.lcm(den, int(v.denominator))
-    return den
-
-
 def pullback(m, a):
     """The substitution a(Mz): a composed with z -> Mz, for a SympMatrix M.
 
@@ -188,27 +181,27 @@ def pullback(m, a):
 
     The work is done on Gaussian integers. M is scaled by delta, the lcm of
     its entries' denominators, and a's coefficients are written as
-    numerators over one common denominator D. a(delta M z) is evaluated
-    Horner-style: a = c + sum_k z_k a_k, with a_k free of z_0 .. z_{k-1},
-    so each node of the exponent trie costs one multiply by a linear form
-    and the sums are shared. Each monomial key hbar^h z^e is packed into
-    one int, h in the top field, with fields wide enough that adding two
-    keys can never carry. Substitution keeps the hbar power and the
-    z-degree, so an output term of z-degree m is divided once, by
-    D * delta^m.
+    numerators over one common denominator D. Both go through
+    elements._gaussian_numerators, the helper the Moyal kernel uses for
+    its operands, so no coefficient costs a Fraction multiply.
+    a(delta M z) is evaluated Horner-style: a = c + sum_k z_k a_k, with
+    a_k free of z_0 .. z_{k-1}, so each node of the exponent trie costs
+    one multiply by a linear form and the sums are shared. Each monomial
+    key hbar^h z^e is packed into one int, h in the top field, with
+    fields wide enough that adding two keys can never carry. Substitution
+    keeps the hbar power and the z-degree, so an output term of z-degree
+    m is divided once, by D * delta^m.
     """
     ctx = a.ctx
     _require_matrix_dim(m, ctx)
     n = ctx.nvars
     width = (2 * ctx.trunc).bit_length()
     hshift = width * n
-    delta = _lcm_denominators(
-        x for row in m.rows for v in row for x in (v.re, v.im))
     # row k of delta*M as (unit key of z_l, re, im) for the nonzero entries
-    forms = [
-        [(1 << (width * l), int(v.re * delta), int(v.im * delta))
-         for l, v in enumerate(row) if not v.is_zero()]
-        for row in m.rows]
+    delta, forms = _gaussian_numerators({
+        k: [(1 << (width * l), (v.re, v.im))
+            for l, v in enumerate(row) if not v.is_zero()]
+        for k, row in enumerate(m.rows)})
 
     def subst(terms, lo):
         # terms: [exps list, hpow, re, im], every exps zero below index lo
@@ -232,9 +225,8 @@ def pullback(m, a):
                              re * fre - im * fim, re * fim + im * fre)
         return acc
 
-    den = _lcm_denominators(x for pair in a._raw.values() for x in pair)
-    terms = [[list(e), h, int(re * den), int(im * den)]
-             for (h, e), (re, im) in a._raw.items()]
+    den, groups = _gaussian_numerators({0: a._raw.items()})
+    terms = [[list(e), h, re, im] for (h, e), re, im in groups[0]]
     mask = (1 << width) - 1
     scale = [den]
     out = {}

@@ -55,6 +55,12 @@ def test_dim_and_max_grade_flags(capsys):
     assert capsys.readouterr().out == "x2*p2 + (1/2)*i*h\n"
 
 
+def test_huge_max_grade_on_linear_factors(capsys):
+    # the cost of a product follows its operands, not the truncation
+    assert main(["star", "x1", "p1", "--max-grade", "100000000"]) == 0
+    assert capsys.readouterr().out == "x1*p1 + (1/2)*i*h\n"
+
+
 def test_out_flag_writes_element_record(tmp_path, capsys):
     out = tmp_path / "res.json"
     assert main(["star", "x1", "p1", "--out", str(out)]) == 0

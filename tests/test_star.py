@@ -8,6 +8,7 @@ in oracles.py.
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from weylalg import (
     Context,
@@ -23,7 +24,8 @@ from weylalg import (
 from weylalg.sampling import random_element
 from weylalg.star import _moyal_raw
 
-from oracles import assert_matches, poisson_oracle, star_oracle, to_sympy
+from oracles import (
+    HBAR, assert_matches, poisson_oracle, star_oracle, to_sympy, truncate_sympy)
 
 
 def _parse(text, ctx):
@@ -209,6 +211,69 @@ def test_scaled_bracket_is_lifted_commutator(rng):
             got = scaled_bracket(a, b)
             assert got.ctx == Context(d, trunc)
             assert got == want
+
+
+def test_large_truncation_costs_nothing_on_linear_factors():
+    # the kernel's integer scale comes from the operands' z-degrees, not
+    # from the cutoff, so a huge truncation leaves x1 * p1 instant
+    ctx = Context(1, 10**8)
+    x, p = WeylElement.variable(ctx, 0), WeylElement.variable(ctx, 1)
+    half_ih = WeylElement.monomial(ctx, 1, (0, 0), GaussianRational(0, "1/2"))
+    assert moyal(x, p) == x * p + half_ih
+    assert moyal(p, x) == x * p - half_ih
+    assert commutator(x, p) == half_ih.scale(2)
+    assert scaled_bracket(x, p) == WeylElement.scalar(ctx, -1)
+    assert scaled_bracket(p, x) == WeylElement.one(ctx)
+
+
+# Non-dyadic Gaussian coefficients on both sides: a wrong integer scale
+# or a dropped division by the common denominators would leave a factor
+# of 3, 5, 7 or 9 behind.
+_C = ["(1/3)", "(2/7 + (1/5)*i)", "(-5/9)*i"]
+
+
+def _edge_element(ctx, monomials):
+    return _parse(" + ".join(
+        f"{_C[n % 3]}*{mono}" for n, mono in enumerate(monomials)), ctx)
+
+
+# monomial sets whose grades sum to exactly the cutoff of the product
+_AT_CUTOFF = [
+    # d = 1, j up to 4 at trunc 8
+    (1, ["x1^4", "x1^2*p1^2", "p1^4"], ["p1^4", "x1*p1^3", "x1^3*p1"]),
+    # d = 2, orders that take derivatives in both dimensions at once
+    (2, ["x1^2*x2*p2", "p1*x2^2*p2", "h*x1*p2"],
+     ["p1^2*x2*p2", "x1*p1*p2^2", "h*p1*x2"]),
+]
+
+
+@pytest.mark.parametrize("d,left,right", _AT_CUTOFF)
+def test_product_at_the_cutoff_matches_oracle(d, left, right):
+    ctx = Context(d, 8)
+    a, b = _edge_element(ctx, left), _edge_element(ctx, right)
+    sa, sb = to_sympy(a), to_sympy(b)
+    ab, ba = star_oracle(sa, sb, d, 8), star_oracle(sb, sa, d, 8)
+    assert_matches(moyal(a, b), ab)
+    assert_matches(moyal(b, a), ba)
+    for parity, want in ((0, ab + ba), (1, ab - ba)):
+        got = WeylElement._from_acc(ctx, _moyal_raw(
+            a._buckets(), b._buckets(), d, 8, parity))
+        assert_matches(got, want / 2)
+
+
+@pytest.mark.parametrize("d,left,right", [
+    # grades 5 + 5 at the bracket's internal cutoff trunc + 2 = 10: j up to 5
+    (1, ["x1^5", "x1^3*p1^2", "x1*p1^4"], ["p1^5", "x1^2*p1^3", "x1^4*p1"]),
+    (2, ["x1^3*p2^2", "p1^2*x2^2*p2", "h*x1*x2*p2"],
+     ["p1^3*x2^2", "x1^2*x2*p2^2", "h*p1*x2*p2"]),
+])
+def test_scaled_bracket_at_the_cutoff_matches_oracle(d, left, right):
+    ctx = Context(d, 8)
+    a, b = _edge_element(ctx, left), _edge_element(ctx, right)
+    sa, sb = to_sympy(a), to_sympy(b)
+    comm = star_oracle(sa, sb, d, 10) - star_oracle(sb, sa, d, 10)
+    assert_matches(scaled_bracket(a, b),
+                   truncate_sympy(sympy.I * comm / HBAR, d, 8))
 
 
 def test_star_context_mismatch(ctx1, ctx2):
