@@ -214,8 +214,8 @@ def test_scaled_bracket_is_lifted_commutator(rng):
 
 
 def test_large_truncation_costs_nothing_on_linear_factors():
-    # the kernel's integer scale comes from the operands' z-degrees, not
-    # from the cutoff, so a huge truncation leaves x1 * p1 instant
+    # the kernel's integer scale comes from the operands' grades, not from
+    # the cutoff, so a huge truncation leaves x1 * p1 instant
     ctx = Context(1, 10**8)
     x, p = WeylElement.variable(ctx, 0), WeylElement.variable(ctx, 1)
     half_ih = WeylElement.monomial(ctx, 1, (0, 0), GaussianRational(0, "1/2"))
@@ -237,17 +237,13 @@ def _edge_element(ctx, monomials):
         f"{_C[n % 3]}*{mono}" for n, mono in enumerate(monomials)), ctx)
 
 
-# monomial sets whose grades sum to exactly the cutoff of the product
-_AT_CUTOFF = [
-    # d = 1, j up to 4 at trunc 8
+@pytest.mark.parametrize("d,left,right", [
+    # grades 4 + 4 at trunc 8: j up to 4
     (1, ["x1^4", "x1^2*p1^2", "p1^4"], ["p1^4", "x1*p1^3", "x1^3*p1"]),
     # d = 2, orders that take derivatives in both dimensions at once
     (2, ["x1^2*x2*p2", "p1*x2^2*p2", "h*x1*p2"],
      ["p1^2*x2*p2", "x1*p1*p2^2", "h*p1*x2"]),
-]
-
-
-@pytest.mark.parametrize("d,left,right", _AT_CUTOFF)
+])
 def test_product_at_the_cutoff_matches_oracle(d, left, right):
     ctx = Context(d, 8)
     a, b = _edge_element(ctx, left), _edge_element(ctx, right)
