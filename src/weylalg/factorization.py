@@ -19,7 +19,8 @@ determined up to truncation. The constructive direction implemented here:
      extra grade of truncation; the integration checks that the gradient
      is exact, which for a polynomial 1-form is the same as closed, and
      names the lowest grade of S that is not,
-  5. recompose and compare against phi term by term.
+  5. recompose through the star recursion, which only certifies (known
+     answers are built by substitution), and compare to phi term by term.
 
 Each step is exact; the final comparison either certifies the answer on
 every generator or pinpoints the first failing grade.
@@ -160,18 +161,15 @@ def verify_factorization(phi, m, s):
 
     No judgement calls: the report lists, for each generator, whether the
     images agree on the nose and otherwise the lowest grade that differs.
-    The linear factor is pullback_automorphism(M) of the SympMatrix M.
-    Recomposition runs the star recursion, not the substitution that
-    factor's peel uses, so the check does not rest on the code it
-    certifies.
+    Only here does the star recursion recompose, to certify: the peel and
+    random_instance substitute, so the check does not rest on their code.
     """
     ctx = phi.ctx
     recomposed = compose(pullback_automorphism(m, ctx),
                          inner_automorphism(s, ctx))
     gens = []
     for k in range(ctx.nvars):
-        diff = recomposed.images[k] - phi.images[k]
-        lg = diff.lowest_grade()
+        lg = _lowest_differing_grade(recomposed.images[k], phi.images[k])
         gens.append(GeneratorResidual(
             index=k,
             passed=lg is None,

@@ -8,10 +8,10 @@ arithmetic fast while still exercising carries and sign interplay.
 
 from __future__ import annotations
 
-from .automorphism import compose, inner_automorphism, pullback_automorphism
+from .automorphism import AutomorphismData, inner_automorphism
 from .elements import WeylElement
 from .scalars import GaussianRational, rational
-from .symplectic import random_symplectic_rng
+from .symplectic import pullback, random_symplectic_rng
 
 
 def random_rational(rng):
@@ -72,14 +72,16 @@ def random_inner_generator(rng, ctx, terms, complex_scalars=False):
 
 def random_instance(rng, ctx, steps=8, generator_terms=6,
                     complex_scalars=False):
-    """A known-answer factorization problem.
+    """A known-answer factorization problem, built by substitution.
 
-    Returns (phi, m, s) with phi = pullback(M) o inner(S); factoring phi
-    must reproduce m and s exactly.
+    Returns (phi, m, s) with phi = pullback(M) o inner(S), its images
+    pullback(M, inner(S)(z_k)); factor(phi) must give m and s exactly.
+    The star recursion recomposes only in verify_factorization, to certify.
     """
     m = random_symplectic_rng(rng, ctx.dim, rng.randint(0, steps),
                               complex_entries=complex_scalars)
     s = random_inner_generator(rng, ctx, rng.randint(0, generator_terms),
                                complex_scalars=complex_scalars)
-    phi = compose(pullback_automorphism(m, ctx), inner_automorphism(s, ctx))
+    phi = AutomorphismData(
+        ctx, [pullback(m, im) for im in inner_automorphism(s, ctx).images])
     return phi, m, s

@@ -65,6 +65,34 @@ def test_no_unused_imports():
     assert found == []
 
 
+# each module may import only modules earlier in this list; imports inside
+# functions are not read (WeylElement.__str__ imports exprio's printer)
+_LAYERS = ["errors", "scalars", "elements", "star", "symplectic",
+           "automorphism", "factorization", "exprio", "sampling", "cli"]
+
+
+def _package_imports(path):
+    """Package modules that a module imports at its top level."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Import):
+            yield from (a.name.removeprefix("weylalg.") for a in node.names
+                        if a.name.startswith("weylalg."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("weylalg")):
+            module = (node.module or "").removeprefix("weylalg").lstrip(".")
+            yield from [module] if module else [a.name for a in node.names]
+
+
+def test_modules_import_only_earlier_layers():
+    root = pathlib.Path(weylalg.__file__).parent
+    assert sorted(p.stem for p in root.glob("*.py")
+                  if p.stem != "__init__") == sorted(_LAYERS)
+    found = [f"{name} imports {dep}" for i, name in enumerate(_LAYERS)
+             for dep in _package_imports(root / f"{name}.py")
+             if dep not in _LAYERS[:i]]
+    assert found == []
+
+
 def _read_names(node):
     return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))]

@@ -204,6 +204,19 @@ def test_verify_factorization_reports_perturbation_grade(rng, ctx1):
         assert not rep.passed
         assert bad.first_mismatch_grade == grade - 1
         assert bad.max_grade_checked == ctx1.trunc
+    # a key on one side only, and one image perturbed at grades 5 and 3:
+    # the lowest differing grade is reported, as (recomposed - phi) gives
+    mono, c = max(phi.images[1].terms().items())
+    dropped = phi.images[1] - WeylElement.monomial(ctx1, *mono, c)
+    twice = phi.images[0] + _parse("x1^3*p1^2 - h*p1", ctx1)
+    recomposed = compose(pullback_automorphism(m, ctx1),
+                         inner_automorphism(s, ctx1))
+    for images, k, grade in [([phi.images[0], dropped], 1, mono.grade()),
+                             ([twice, phi.images[1]], 0, 3)]:
+        bad = verify_factorization(AutomorphismData(ctx1, images), m, s)
+        assert [g.index for g in bad.generators if not g.passed] == [k]
+        assert bad.first_failure().first_mismatch_grade == grade
+        assert (recomposed.images[k] - images[k]).lowest_grade() == grade
 
 
 def test_verify_factorization_wrong_matrix(rng, ctx1):

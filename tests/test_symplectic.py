@@ -12,7 +12,9 @@ from weylalg import (
     SingularMatrixError,
     SympMatrix,
     WeylElement,
+    compose,
     factor,
+    inner_automorphism,
     is_symplectic,
     linear_part,
     moyal,
@@ -140,6 +142,22 @@ def test_pullback_matches_automorphism_recursion(rng, ctx2):
                                    complex_scalars=True) \
                 + WeylElement.monomial(ctx, 0, (0, 9, 0, 0), "1/3")
         assert pullback(m, a) == pullback_automorphism(m, ctx).apply(a)
+
+
+def test_random_instance_substitution_matches_recursion(rng):
+    # random_instance substitutes pullback(M, .) into inner(S)'s images;
+    # the star recursion verify_factorization recomposes with must agree
+    for d, draws in [(1, 4), (2, 3), (3, 2)]:
+        ctx = Context(d, 8)
+        with_hbar = 0
+        for _ in range(draws):
+            phi, m, s = random_instance(rng, ctx, steps=6, generator_terms=6,
+                                        complex_scalars=True)
+            with_hbar += any(mono.hpow for mono in s.terms())
+            recomposed = compose(pullback_automorphism(m, ctx),
+                                 inner_automorphism(s, ctx))
+            assert phi.images == recomposed.images
+        assert with_hbar
 
 
 def test_pullback_automorphism_linear_part(rng, ctx2):
