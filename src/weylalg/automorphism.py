@@ -25,7 +25,10 @@ exp/log convert between derivations with images in X_2 and automorphisms
 with identity linear part. exp, and inner(S) = exp((i/hbar) ad_S), are
 series that terminate exactly because each step raises the lowest grade.
 log is no series: it reads D off one grade at a time, each grade the part
-of phi(z_k) that exp of the lower grades does not yet produce.
+of phi(z_k) that exp of the lower grades does not yet produce. o adds
+grades, so the piece D_h of D with images of grade h raises every grade by
+exactly h - 1; log keeps each piece as one derivation, with one memo, and
+grows a table of graded powers [D^m(z_k)]_g by one grade per step.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .elements import MIN_TRUNC, Context, WeylElement, _acc_add, monomials_of_grade
+from .elements import Context, WeylElement, _acc_add, monomials_of_grade
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -353,12 +356,15 @@ def log_automorphism(phi):
     """log of an automorphism with identity linear part and fixed hbar.
 
     Returns the derivation D with exp(D) = phi, solved one grade at a time.
-    A term of exp(D)(z_k) that holds D_g, the grade-g part of D's images,
-    has grade g or more, and at grade g it is D_g(z_k) alone. So D_g(z_k)
-    is the grade-g part of phi(z_k) - exp(D_<g)(z_k), and exp(D_<g) is
-    built in a context truncated at grade g. Only phi's images are read,
-    so exp_derivation(log_automorphism(phi)) has phi's images for any
-    images in z_k + X_2, whether or not they define an automorphism.
+    D_h, the grade-h part of D's images, raises every grade by h - 1, so
+    the graded powers P[m][g] = [D^m(z_k)]_g obey
+    P[m][g] = sum_h D_h(P[m-1][g-h+1]) and need only D_h with h < g for
+    m >= 2. At grade g, exp(D)(z_k) is D_g(z_k) + sum_{m=2}^{g-1}
+    P[m][g] / m!, which gives D_g(z_k) from phi(z_k)'s grade-g part. Each
+    nonzero D_h is one DerivationData whose memo serves every later grade.
+    Only phi's images are read, so exp_derivation(log_automorphism(phi))
+    has phi's images for any images in z_k + X_2, whether or not they
+    define an automorphism.
     """
     ctx = phi.ctx
     if not phi.hbar_scale.is_one():
@@ -366,14 +372,28 @@ def log_automorphism(phi):
     diffs = [phi.images[k] - WeylElement.variable(ctx, k)
              for k in range(ctx.nvars)]
     _require_kernel_images(ctx, diffs, "log (phi - id)")
-    accs = [{} for _ in diffs]
+    pieces = {}   # h -> D_h, nonzero pieces only
+    powers = {}   # (m, g) -> [D^m(z_k)]_g for every k, nonzero rows only
     for g in range(2, ctx.trunc + 1):
-        sub = Context(ctx.dim, max(g, MIN_TRUNC))
-        low = exp_derivation(DerivationData(
-            sub, [WeylElement._from_acc(sub, acc) for acc in accs]))
-        for acc, diff, image in zip(accs, diffs, low.images):
-            for key, (re, im) in diff._buckets().get(g, ()):
-                _acc_add(acc, key, re, im)
-            for key, (re, im) in image._buckets().get(g, ()):
-                _acc_add(acc, key, -re, -im)
-    return DerivationData(ctx, [WeylElement._from_acc(ctx, acc) for acc in accs])
+        accs = [dict(diff._buckets().get(g, ())) for diff in diffs]
+        for m in range(2, g):
+            row = [{} for _ in diffs]
+            for h, dv in pieces.items():
+                low = powers.get((m - 1, g - h + 1))
+                for acc, el in zip(row, low or ()):
+                    for key, (re, im) in dv.apply(el)._raw.items():
+                        _acc_add(acc, key, re, im)
+            row = [WeylElement._from_acc(ctx, acc) for acc in row]
+            if any(row):
+                powers[m, g] = row
+                q = Fraction(-1, factorial(m))
+                for acc, el in zip(accs, row):
+                    for key, (re, im) in el._raw.items():
+                        _acc_add(acc, key, re * q, im * q)
+        images = [WeylElement._from_acc(ctx, acc) for acc in accs]
+        if any(images):
+            pieces[g] = DerivationData(ctx, images)
+            powers[1, g] = images
+    zero = WeylElement.zero(ctx)
+    return DerivationData(ctx, [sum((dv.images[k] for dv in pieces.values()), zero)
+                                for k in range(ctx.nvars)])

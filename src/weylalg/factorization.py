@@ -14,7 +14,10 @@ determined up to truncation. The constructive direction implemented here:
      linear map acts on Weyl symbols by plain substitution,
   3. take D = log(psi), a derivation with images in X_2, solved one
      grade at a time: the grade-g part of D(z_k) is the grade-g part of
-     psi(z_k) - exp(D_<g)(z_k),
+     psi(z_k) - exp(D_<g)(z_k). The piece D_h of grade h raises grades by
+     exactly h - 1, so exp(D_<g) at grade g is read from graded powers
+     [D^m(z_k)]_g of the pieces found so far, each piece one derivation
+     with one memo,
   4. integrate D's dual gradient to S by the radial (Euler) formula, one
      extra grade of truncation; the integration checks that the gradient
      is exact, which for a polynomial 1-form is the same as closed, and
@@ -183,7 +186,8 @@ def factor(phi):
 
     The linear part M is read off and peeled by substitution, and the
     generator S of the remaining kernel automorphism psi is the radial
-    integral of log(psi), which log_automorphism solves grade by grade;
+    integral of log(psi), which log_automorphism solves grade by grade
+    from the graded powers of the pieces D_h of D already found;
     verify_factorization then recomposes pullback(M) o inner(S) through
     the bracket series and the star recursion and compares it to phi.
 

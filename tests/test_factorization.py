@@ -1,15 +1,19 @@
 """Factorization pipeline: gradient, integration, factor, verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import weylalg.automorphism as automorphism_module
 import weylalg.factorization as factorization_module
 from weylalg import (
+    MIN_TRUNC,
     AutomorphismData,
     ClosednessError,
     Context,
     DerivationData,
+    GaussianRational,
     HbarScaleError,
     LinearPartNotInvertibleError,
     LinearPartNotSymplecticError,
@@ -19,16 +23,19 @@ from weylalg import (
     WeylElement,
     compose,
     dual_gradient,
+    exp_derivation,
     factor,
+    identity_automorphism,
     inner_automorphism,
     kernel_check,
     log_automorphism,
     parse_element,
     poincare_integrate,
+    pullback,
     pullback_automorphism,
     verify_factorization,
 )
-from weylalg.sampling import random_inner_generator, random_instance
+from weylalg.sampling import random_element, random_inner_generator, random_instance
 from weylalg.symplectic import random_symplectic_rng
 
 
@@ -143,6 +150,81 @@ def test_log_matches_the_series_logarithm(rng):
                 assert f"generator grade {j + 2 * h + 1} " \
                     in str(by_grade.value)
     assert hbar_terms
+
+
+def _shear_generator(rng, lifted, grade, on_p, complex_scalars):
+    """Two terms of one grade in hbar and x_1..x_d only (p_1..p_d if on_p).
+
+    The bracket with such an S maps the variables it is made of to 0, so
+    D = (i/hbar) ad_S has D^2 = 0 and inner(S) = id + D: every image is
+    z_k plus terms of grade `grade - 1` alone.
+    """
+    d = lifted.dim
+    terms = {}
+    for _ in range(2):
+        h = rng.randint(0, (grade - 1) // 2)
+        exps = [0] * (2 * d)
+        for _ in range(grade - 2 * h):
+            exps[d * on_p + rng.randrange(d)] += 1
+        re = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        terms[h, tuple(exps)] = GaussianRational(
+            re, rng.randint(-3, 3) if complex_scalars else 0)
+    return WeylElement(lifted, terms)
+
+
+def test_log_of_images_whose_logarithm_skips_grades(rng):
+    # D with pieces at one grade, or at two grades not next to each other,
+    # leaves most entries of the table of graded powers empty
+    for d in (1, 2, 3):
+        for trunc in (4, 5, 9):
+            ctx = Context(d, trunc)
+            lifted = ctx.lifted()
+            cases = []
+            for i, grades in enumerate(((2,), (trunc,), (2, 4), (2, trunc))):
+                on_p = i % 2 == 1
+                s = sum((_shear_generator(rng, lifted, g + 1, on_p, i >= 2)
+                         for g in grades), WeylElement.zero(lifted))
+                cases.append((grades, inner_automorphism(s, ctx)))
+            # one grade of D, but its powers fill the grades above it
+            for g in (2, 3):
+                s = random_element(rng, lifted, 2, min_grade=g + 1,
+                                   max_grade=g + 1, require_z=True)
+                cases.append(((g,), inner_automorphism(s, ctx)))
+            for grades, psi in cases:
+                dv = log_automorphism(psi)
+                assert {g for im in dv.images for g in im.grades()} \
+                    == set(grades)
+                assert dv.images == _series_log(psi).images
+                assert exp_derivation(dv).images == psi.images
+            for grades, psi in cases[:4]:
+                assert all(
+                    set((im - WeylElement.variable(ctx, k)).grades())
+                    <= set(grades) for k, im in enumerate(psi.images))
+        ident = identity_automorphism(Context(d, MIN_TRUNC))
+        dv = log_automorphism(ident)
+        assert all(im.is_zero() for im in dv.images)
+        assert dv.images == _series_log(ident).images
+        assert exp_derivation(dv).images == ident.images
+
+
+def test_log_builds_no_exponential_series(monkeypatch):
+    # the log solves on graded powers of its pieces, not through exp
+    rng = random.Random(108)
+    ctx = Context(2, 8)
+    phi, m, s = random_instance(rng, ctx, steps=8, generator_terms=10)
+    minv = m.inverse()
+    psi = AutomorphismData(ctx, [pullback(minv, im) for im in phi.images])
+    want = _series_log(psi).images
+
+    def no_exp(dv):
+        raise AssertionError("log_automorphism called exp_derivation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(automorphism_module, "exp_derivation", no_exp)
+        dv = log_automorphism(psi)
+    assert dv.images == want
+    assert poincare_integrate(dv) == s
+    assert exp_derivation(dv).images == psi.images
 
 
 def test_factor_raises_on_forced_residual_failure(ctx1, monkeypatch):
