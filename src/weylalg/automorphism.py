@@ -18,8 +18,10 @@ maps differ only in the image of 1 (1 or 0) and in the product rule
 applied to z_k o z^beta: phi(z_k) o phi(z^beta) for an automorphism, the
 Leibniz rule D(z_k) o z^beta + z_k o D(z^beta) for a derivation. The scale
 c enters only where apply maps hbar to c*hbar. Images are memoized per
-exponent tuple, so repeated applications (composition, logarithms,
-verification sweeps) stay cheap.
+exponent tuple as graded term maps, so repeated applications
+(composition, logarithms, verification sweeps) stay cheap, and apply
+adds a term's image a whole grade at a time: hbar^h z^e maps to
+hbar^h phi(z^e), each grade of phi(z^e) moved up by 2h.
 
 exp/log convert between derivations with images in X_2 and automorphisms
 with identity linear part. exp, and inner(S) = exp((i/hbar) ad_S), are
@@ -36,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .elements import Context, WeylElement, _acc_add, monomials_of_grade
+from .elements import (
+    Context, WeylElement, _acc_add, _acc_merge, monomials_of_grade)
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -45,7 +48,7 @@ from .errors import (
     InvalidImageError,
     KernelPreconditionError,
 )
-from .scalars import G_MINUS_I, G_ONE, GaussianRational, QONE, QZERO
+from .scalars import G_MINUS_I, G_ONE, QONE, QZERO, _coerce_gaussian
 from .star import _moyal_raw, commutator, moyal, scaled_bracket
 from .symplectic import SympMatrix, pullback, symplectic_form
 
@@ -87,23 +90,23 @@ class _StarRecursionMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _image_buckets(self, e):
-        """Buckets of the image of the plain monomial z^e."""
+    def _image(self, e):
+        """Graded term map of the image of the plain monomial z^e."""
         memo = self._memo
-        b = memo.get(e)
-        if b is not None:
-            return b
+        raw = memo.get(e)
+        if raw is not None:
+            return raw
         deg = sum(e)
         if deg == 0:
-            b = {0: [((0, e), (self._one, QZERO))]} if self._one else {}
+            raw = {0: {e: (self._one, QZERO)}} if self._one else {}
         elif deg == 1:
-            b = self.images[e.index(1)]._buckets()
+            raw = self.images[e.index(1)]._raw
         else:
             k = next(i for i, v in enumerate(e) if v)
             beta = e[:k] + (e[k] - 1,) + e[k + 1:]
-            b = WeylElement._from_acc(self.ctx, self._product(k, beta))._buckets()
-        memo[e] = b
-        return b
+            raw = WeylElement._from_acc(self.ctx, self._product(k, beta))._raw
+        memo[e] = raw
+        return raw
 
     def apply(self, a):
         if a.ctx != self.ctx:
@@ -112,17 +115,19 @@ class _StarRecursionMap:
         trunc = self.ctx.trunc
         c = self._c
         acc = {}
-        for (h, e), (re, im) in a._raw.items():
-            if h and not c.is_one():
-                ch = c ** h
-                re, im = re * ch.re - im * ch.im, re * ch.im + im * ch.re
-            shift = 2 * h
-            for g, items in self._image_buckets(e).items():
-                if g + shift > trunc:
-                    continue
-                for (h2, e2), (r2, i2) in items:
-                    _acc_add(acc, (h2 + h, e2),
-                             re * r2 - im * i2, re * i2 + im * r2)
+        for ga, terms in a._raw.items():
+            for e, (re, im) in terms.items():
+                shift = ga - sum(e)     # 2h, h the term's hbar power
+                if shift and not c.is_one():
+                    ch = c ** (shift // 2)
+                    re, im = re * ch.re - im * ch.im, re * ch.im + im * ch.re
+                for g, image in self._image(e).items():
+                    if g + shift > trunc:
+                        continue
+                    out = acc.setdefault(g + shift, {})
+                    for e2, (r2, i2) in image.items():
+                        _acc_add(out, e2,
+                                 re * r2 - im * i2, re * i2 + im * r2)
         return WeylElement._from_acc(self.ctx, acc)
 
     def __repr__(self):
@@ -141,8 +146,7 @@ class AutomorphismData(_StarRecursionMap):
     _one = QONE
 
     def __init__(self, ctx, images, hbar_scale=G_ONE):
-        c = hbar_scale if isinstance(hbar_scale, GaussianRational) \
-            else GaussianRational(hbar_scale)
+        c = _coerce_gaussian(hbar_scale)
         if c.is_zero():
             raise AutomorphismError("hbar scale factor must be nonzero")
         super().__init__(ctx, images, c)
@@ -154,7 +158,7 @@ class AutomorphismData(_StarRecursionMap):
     def _product(self, k, beta):
         # phi(z_k) o phi(z^beta)
         ctx = self.ctx
-        return _moyal_raw(self.images[k]._buckets(), self._image_buckets(beta),
+        return _moyal_raw(self.images[k]._raw, self._image(beta),
                           ctx.dim, ctx.trunc, 0)
 
 
@@ -322,12 +326,10 @@ class DerivationData(_StarRecursionMap):
         # D(z_k) o z^beta + z_k o D(z^beta)
         ctx = self.ctx
         d, trunc = ctx.dim, ctx.trunc
-        raw = _moyal_raw(self.images[k]._buckets(),
-                         {sum(beta): [((0, beta), (QONE, QZERO))]}, d, trunc, 0)
-        zk = WeylElement.variable(ctx, k)._buckets()
-        for key, (re, im) in _moyal_raw(
-                zk, self._image_buckets(beta), d, trunc, 0).items():
-            _acc_add(raw, key, re, im)
+        raw = _moyal_raw(self.images[k]._raw,
+                         {sum(beta): {beta: (QONE, QZERO)}}, d, trunc, 0)
+        zk = WeylElement.variable(ctx, k)._raw
+        _acc_merge(raw, _moyal_raw(zk, self._image(beta), d, trunc, 0))
         return raw
 
 
@@ -375,21 +377,19 @@ def log_automorphism(phi):
     pieces = {}   # h -> D_h, nonzero pieces only
     powers = {}   # (m, g) -> [D^m(z_k)]_g for every k, nonzero rows only
     for g in range(2, ctx.trunc + 1):
-        accs = [dict(diff._buckets().get(g, ())) for diff in diffs]
+        accs = [{g: dict(diff._raw.get(g, {}))} for diff in diffs]
         for m in range(2, g):
             row = [{} for _ in diffs]
             for h, dv in pieces.items():
                 low = powers.get((m - 1, g - h + 1))
                 for acc, el in zip(row, low or ()):
-                    for key, (re, im) in dv.apply(el)._raw.items():
-                        _acc_add(acc, key, re, im)
+                    _acc_merge(acc, dv.apply(el)._raw)
             row = [WeylElement._from_acc(ctx, acc) for acc in row]
             if any(row):
                 powers[m, g] = row
                 q = Fraction(-1, factorial(m))
                 for acc, el in zip(accs, row):
-                    for key, (re, im) in el._raw.items():
-                        _acc_add(acc, key, re * q, im * q)
+                    _acc_merge(acc, el._raw, q)
         images = [WeylElement._from_acc(ctx, acc) for acc in accs]
         if any(images):
             pieces[g] = DerivationData(ctx, images)

@@ -7,14 +7,26 @@ grade of hbar^j z^alpha is 2j + |alpha|; everything of grade above N is
 dropped, i.e. all arithmetic happens in the quotient by the ideal X_{N+1}
 of elements of grade >= N+1.
 
-Internally a term map is a plain dict keyed by (hpow, exps) with values
-(re, im) pairs of Fractions; the hot loops in the star-product and
-automorphism modules work on these raw dicts directly. They sum into an
-accumulator with _acc_add and turn it into an element with
-WeylElement._from_acc, which drops the entries that cancelled to zero.
-The kernels that run on integers, the Moyal product and the substitution
-pullback, write their inputs over one common denominator with
-_gaussian_numerators and divide once per output term.
+Internally an element's terms are kept by grade: a graded term map
+{grade: {exps: (re, im)}} with (re, im) a pair of Fractions. A term's
+hbar power is not stored; it is (grade - |exps|) // 2, worked out only
+where a caller needs it (terms(), coefficient(), printing). Two
+invariants hold for every element:
+
+  - no grade is empty, and no entry is zero, so term-map equality is
+    element equality;
+  - a grade's dict is never mutated once an element holds it, because
+    elements (hbar_shift) and memos share them.
+
+The hot loops in the star-product and automorphism modules work on these
+raw maps directly, a whole grade at a time: a product of grades m and n
+fills grade m + n. They sum into an accumulator, a graded term map of
+fresh dicts, with _acc_add or _acc_merge and turn it into an element with
+WeylElement._from_acc, which drops the entries that cancelled to zero and
+the grades left empty. The kernels that run on integers, the Moyal
+product and the substitution pullback, write their inputs over one
+common denominator with _gaussian_numerators and divide once per output
+term.
 The public surface exposes Monomial keys and GaussianRational coefficients.
 
 Variable indexing is 0-based: index k < d is x_{k+1}, index k >= d is
@@ -28,7 +40,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import ContextError
-from .scalars import GaussianRational, QONE, QZERO, _coerce
+from .scalars import GaussianRational, QONE, QZERO, _coerce, _coerce_gaussian
 
 MIN_TRUNC = 4
 
@@ -73,10 +85,6 @@ class Monomial(NamedTuple):
         return 2 * self.hpow + sum(self.exps)
 
 
-def _key_grade(key):
-    return 2 * key[0] + sum(key[1])
-
-
 def _require_same_ctx(a, b):
     if a.ctx != b.ctx:
         raise ContextError(
@@ -92,7 +100,7 @@ def _require_same_dim(a, b):
 class WeylElement:
     """Immutable truncated element. Use the classmethod constructors."""
 
-    __slots__ = ("ctx", "_raw", "_buckets_cache")
+    __slots__ = ("ctx", "_raw")
 
     def __new__(cls, ctx, terms=None):
         """Element of {Monomial or (hpow, exps): coefficient}, truncated."""
@@ -106,13 +114,14 @@ class WeylElement:
             exps = tuple(exps)
             if hpow < 0 or len(exps) != n or any(e < 0 for e in exps):
                 raise ContextError(f"bad monomial {(hpow, exps)} for dim {ctx.dim}")
-            if 2 * hpow + sum(exps) > ctx.trunc:
+            grade = 2 * hpow + sum(exps)
+            if grade > ctx.trunc:
                 continue
             if isinstance(coeff, GaussianRational):
                 re, im = coeff.re, coeff.im
             else:
                 re, im = _coerce(coeff), QZERO
-            _acc_add(acc, (hpow, exps), re, im)
+            _acc_add(acc.setdefault(grade, {}), exps, re, im)
         return cls._from_acc(ctx, acc)
 
     def __setattr__(self, name, value):
@@ -125,13 +134,17 @@ class WeylElement:
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_buckets_cache", None)
         return self
 
     @classmethod
     def _from_acc(cls, ctx, acc):
         """Element of an accumulator's entries, those that cancelled dropped."""
-        return cls._from_raw(ctx, {k: v for k, v in acc.items() if v[0] or v[1]})
+        raw = {}
+        for g, terms in acc.items():
+            terms = {e: v for e, v in terms.items() if v[0] or v[1]}
+            if terms:
+                raw[g] = terms
+        return cls._from_raw(ctx, raw)
 
     @classmethod
     def zero(cls, ctx):
@@ -139,21 +152,21 @@ class WeylElement:
 
     @classmethod
     def one(cls, ctx):
-        return cls._from_raw(ctx, {(0, (0,) * ctx.nvars): (QONE, QZERO)})
+        return cls._from_raw(ctx, {0: {(0,) * ctx.nvars: (QONE, QZERO)}})
 
     @classmethod
     def scalar(cls, ctx, c):
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        c = _coerce_gaussian(c)
         if c.is_zero():
             return cls.zero(ctx)
-        return cls._from_raw(ctx, {(0, (0,) * ctx.nvars): (c.re, c.im)})
+        return cls._from_raw(ctx, {0: {(0,) * ctx.nvars: (c.re, c.im)}})
 
     @classmethod
     def variable(cls, ctx, k):
         if not 0 <= k < ctx.nvars:
             raise IndexError(f"variable index {k} out of range for dim {ctx.dim}")
         exps = tuple(1 if j == k else 0 for j in range(ctx.nvars))
-        return cls._from_raw(ctx, {(0, exps): (QONE, QZERO)})
+        return cls._from_raw(ctx, {1: {exps: (QONE, QZERO)}})
 
     @classmethod
     def hbar(cls, ctx, power=1):
@@ -161,7 +174,8 @@ class WeylElement:
             raise ContextError("hbar power must be a natural number")
         if 2 * power > ctx.trunc:
             return cls.zero(ctx)
-        return cls._from_raw(ctx, {(power, (0,) * ctx.nvars): (QONE, QZERO)})
+        return cls._from_raw(
+            ctx, {2 * power: {(0,) * ctx.nvars: (QONE, QZERO)}})
 
     @classmethod
     def monomial(cls, ctx, hpow, exps, coeff=1):
@@ -171,11 +185,13 @@ class WeylElement:
 
     def terms(self):
         """Term map as {Monomial: GaussianRational}, a fresh dict."""
-        return {Monomial(h, e): GaussianRational._wrap(re, im)
-                for (h, e), (re, im) in self._raw.items()}
+        return {Monomial((g - sum(e)) // 2, e): GaussianRational._wrap(re, im)
+                for g, terms in self._raw.items()
+                for e, (re, im) in terms.items()}
 
     def coefficient(self, hpow, exps):
-        v = self._raw.get((hpow, tuple(exps)))
+        exps = tuple(exps)
+        v = self._raw.get(2 * hpow + sum(exps), {}).get(exps)
         if v is None:
             return GaussianRational(0)
         return GaussianRational._wrap(*v)
@@ -184,31 +200,17 @@ class WeylElement:
         return not self._raw
 
     def __len__(self):
-        return len(self._raw)
+        return sum(map(len, self._raw.values()))
 
     def lowest_grade(self):
         """Smallest grade present, or None for the zero element."""
-        if not self._raw:
-            return None
-        return min(_key_grade(k) for k in self._raw)
+        return min(self._raw, default=None)
 
     def max_grade(self):
-        if not self._raw:
-            return None
-        return max(_key_grade(k) for k in self._raw)
+        return max(self._raw, default=None)
 
     def grades(self):
-        return sorted({_key_grade(k) for k in self._raw})
-
-    def _buckets(self):
-        """Terms grouped by grade: {grade: [(key, (re, im)), ...]}. Cached."""
-        b = self._buckets_cache
-        if b is None:
-            b = {}
-            for k, v in self._raw.items():
-                b.setdefault(_key_grade(k), []).append((k, v))
-            object.__setattr__(self, "_buckets_cache", b)
-        return b
+        return sorted(self._raw)
 
     # ring operations
 
@@ -216,11 +218,9 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         _require_same_ctx(self, other)
-        acc = dict(self._raw)
-        for k, (re, im) in other._raw.items():
-            if negate:
-                re, im = -re, -im
-            _acc_add(acc, k, re, im)
+        acc = {}
+        _acc_merge(acc, self._raw)
+        _acc_merge(acc, other._raw, -1 if negate else None)
         return WeylElement._from_acc(self.ctx, acc)
 
     def __add__(self, other):
@@ -230,29 +230,27 @@ class WeylElement:
         return self._sum(other, True)
 
     def __neg__(self):
-        return WeylElement._from_raw(
-            self.ctx, {k: (-re, -im) for k, (re, im) in self._raw.items()})
+        return WeylElement._from_raw(self.ctx, {
+            g: {e: (-re, -im) for e, (re, im) in terms.items()}
+            for g, terms in self._raw.items()})
 
     def scale(self, c):
         """Scalar multiple; c is anything GaussianRational accepts."""
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
+        c = _coerce_gaussian(c)
         if c.is_zero():
             return WeylElement.zero(self.ctx)
         cre, cim = c.re, c.im
-        if not cim:
-            raw = {k: (re * cre, im * cre) for k, (re, im) in self._raw.items()}
-        else:
-            raw = {k: (re * cre - im * cim, re * cim + im * cre)
-                   for k, (re, im) in self._raw.items()}
-        return WeylElement._from_raw(self.ctx, raw)
+        return WeylElement._from_raw(self.ctx, {
+            g: {e: (re * cre - im * cim, re * cim + im * cre) if cim
+                else (re * cre, im * cre) for e, (re, im) in terms.items()}
+            for g, terms in self._raw.items()})
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             _require_same_ctx(self, other)
             return WeylElement._from_acc(
                 self.ctx,
-                _cmul_raw(self._buckets(), other._buckets(), self.ctx.trunc))
+                _cmul_raw(self._raw, other._raw, self.ctx.trunc))
         if isinstance(other, (GaussianRational, int)):
             return self.scale(other)
         return NotImplemented
@@ -275,29 +273,30 @@ class WeylElement:
         return out
 
     def hbar_shift(self, j):
-        """Multiply by hbar^j (hpow += j), truncating; no power may go negative."""
+        """Multiply by hbar^j, truncating; no power may go negative.
+
+        Each grade moves up by 2j, and the shifted element shares its
+        grades' dicts with this one.
+        """
         if j == 0:
             return self
-        trunc = self.ctx.trunc
         raw = {}
-        for (h, e), v in self._raw.items():
-            if h + j < 0:
+        for g, terms in self._raw.items():
+            if j < 0 and any(sum(e) > g + 2 * j for e in terms):
                 raise ContextError("hbar power must be a natural number")
-            if 2 * (h + j) + sum(e) <= trunc:
-                raw[(h + j, e)] = v
+            if g + 2 * j <= self.ctx.trunc:
+                raw[g + 2 * j] = terms
         return WeylElement._from_raw(self.ctx, raw)
 
     def partial(self, k):
         """Partial derivative in variable index k (0-based)."""
         if not 0 <= k < self.ctx.nvars:
             raise IndexError(f"variable index {k} out of range for dim {self.ctx.dim}")
-        raw = {}
-        for (h, e), (re, im) in self._raw.items():
-            ek = e[k]
-            if ek:
-                ne = e[:k] + (ek - 1,) + e[k + 1:]
-                raw[(h, ne)] = (re * ek, im * ek)
-        return WeylElement._from_raw(self.ctx, raw)
+        # distinct exponents stay distinct, so no two terms meet
+        acc = {g - 1: {e[:k] + (e[k] - 1,) + e[k + 1:]: (re * e[k], im * e[k])
+                       for e, (re, im) in terms.items() if e[k]}
+               for g, terms in self._raw.items()}
+        return WeylElement._from_acc(self.ctx, acc)
 
     # comparison: term-map equality; trunc is precision, not identity
 
@@ -316,47 +315,59 @@ class WeylElement:
         return f"<WeylElement dim={self.ctx.dim} trunc={self.ctx.trunc} {self}>"
 
 
-def _acc_add(acc, key, re, im):
-    """Add re + i*im into the accumulator entry at key; zero sums stay."""
-    cur = acc.get(key)
+def _acc_add(terms, key, re, im):
+    """Add re + i*im into the entry at key of a term dict; zero sums stay."""
+    cur = terms.get(key)
     if cur is None:
-        acc[key] = (re, im)
+        terms[key] = (re, im)
     else:
-        acc[key] = (cur[0] + re, cur[1] + im)
+        terms[key] = (cur[0] + re, cur[1] + im)
+
+
+def _acc_merge(acc, raw, q=None):
+    """Add a graded term map, each term times the rational q if given,
+    into the graded accumulator acc, grade by grade."""
+    for g, terms in raw.items():
+        out = acc.setdefault(g, {})
+        for e, (re, im) in terms.items():
+            if q is not None:
+                re, im = re * q, im * q
+            _acc_add(out, e, re, im)
 
 
 def _gaussian_numerators(groups):
-    """Groups of raw terms written over one denominator, as Gaussian integers.
+    """Term maps written over one denominator, as Gaussian integers.
 
-    groups maps a label to a list of (key, (re, im)) with rational parts.
-    Returns (den, {label: [(key, nre, nim), ...]}), den the lcm of every
-    denominator, re = nre / den and im = nim / den: one int multiply per
-    part, no Fraction arithmetic.
+    groups maps a label (a grade, say) to a term map {key: (re, im)} with
+    rational parts. Returns (den, {label: [(key, nre, nim), ...]}), den
+    the lcm of every denominator, re = nre / den and im = nim / den: one
+    int multiply per part, no Fraction arithmetic.
     """
     den = 1
-    for items in groups.values():
-        for _key, (re, im) in items:
+    for terms in groups.values():
+        for re, im in terms.values():
             den = lcm(den, re.denominator, im.denominator)
     return den, {
         label: [(key, re.numerator * (den // re.denominator),
                  im.numerator * (den // im.denominator))
-                for key, (re, im) in items]
-        for label, items in groups.items()}
+                for key, (re, im) in terms.items()]
+        for label, terms in groups.items()}
 
 
-def _cmul_raw(buckets_a, buckets_b, cutoff):
-    """Commutative product of bucketed raw term maps, grades > cutoff dropped.
+def _cmul_raw(raw_a, raw_b, cutoff):
+    """Commutative product of graded term maps, grades > cutoff dropped.
 
     Returns the accumulator, zero entries included.
     """
     acc = {}
-    for ga, items_a in buckets_a.items():
-        for gb, items_b in buckets_b.items():
+    for ga, terms_a in raw_a.items():
+        for gb, terms_b in raw_b.items():
             if ga + gb > cutoff:
                 continue
-            for (h1, e1), (re1, im1) in items_a:
-                for (h2, e2), (re2, im2) in items_b:
-                    _acc_add(acc, (h1 + h2, tuple(map(int.__add__, e1, e2))),
+            out = acc.setdefault(ga + gb, {})
+            for e1, (re1, im1) in terms_a.items():
+                for e2, (re2, im2) in terms_b.items():
+                    _acc_add(out, tuple(map(int.__add__, e1, e2)),
                              re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
     return acc
 

@@ -124,8 +124,13 @@ class LinearPartNotSymplecticError(FactorizationError):
 class ClosednessError(FactorizationError):
     """A grade of the generator has a gradient 1-form that is not closed.
 
-    The input was not a morphism. The message names the lowest failing
-    grade of the generator and the variable where the check failed.
+    At a generator grade up to the truncation order N the input was not a
+    morphism: the relations at grade g + 1 <= N force the grade-g part of
+    log(phi) to be closed. At grade N + 1 no relation survives the
+    truncation, so the input may be an automorphism of the truncated
+    algebra that is not the truncation of any pullback(M) o inner(S). The
+    message names the lowest failing grade of the generator and the
+    variable where the check failed.
     """
 
     exit_code = 14

@@ -37,7 +37,7 @@ from fractions import Fraction
 from string import ascii_letters, digits
 
 from .automorphism import AutomorphismData
-from .elements import Context, WeylElement, _acc_add
+from .elements import Context, WeylElement, _acc_add, _acc_merge
 from .errors import (
     ExponentOverflowError,
     ExprSyntaxError,
@@ -177,7 +177,7 @@ class _Parser:
         self.ctx = ctx
         self.depth = 0
         self.names = {"h": _HBAR}       # variable name -> index, or _HBAR
-        self.unit_key = (0, (0,) * ctx.nvars)
+        self.zeros = (0,) * ctx.nvars
 
     def err(self, msg, pos, cls=ExprSyntaxError):
         raise cls(msg, *_position(self.text, pos))
@@ -254,19 +254,19 @@ class _Parser:
             if tokens[self.pos] != "*":
                 break
             self.pos += 1
-        if not (cr or ci) or 2 * hpow + sum(exps) > self.ctx.trunc:
+        grade = 2 * hpow + sum(exps)
+        if not (cr or ci) or grade > self.ctx.trunc:
             return
         if negate:
             cr, ci = -cr, -ci
-        key = hpow, tuple(exps)
+        exps = tuple(exps)
         if not groups:
-            _acc_add(acc, key, cr, ci)
+            _acc_add(acc.setdefault(grade, {}), exps, cr, ci)
             return
-        e = WeylElement._from_raw(self.ctx, {key: (cr, ci)})
+        e = WeylElement._from_raw(self.ctx, {grade: {exps: (cr, ci)}})
         for g in groups:
             e = e * g
-        for key, (cr, ci) in e._raw.items():
-            _acc_add(acc, key, cr, ci)
+        _acc_merge(acc, e._raw)
 
     def exponent(self):
         """The natural after a "^" at the current token, or None."""
@@ -313,8 +313,8 @@ class _Parser:
         self.pos = closing + 1
         self.depth -= 1
         e = WeylElement._from_acc(self.ctx, acc)
-        if e._raw.keys() <= {self.unit_key}:    # a constant, maybe zero
-            return e._raw.get(self.unit_key, (QZERO, QZERO))
+        if e._raw.keys() <= {0}:    # a constant, maybe zero
+            return e._raw[0][self.zeros] if e._raw else (QZERO, QZERO)
         return e
 
 
@@ -344,12 +344,13 @@ def format_element(e):
     if e.is_zero():
         return "0"
     ctx = e.ctx
-    items = sorted(
-        e._raw.items(),
-        key=lambda kv: (2 * kv[0][0] + sum(kv[0][1]), kv[0][0],
-                        tuple(-v for v in kv[0][1])))
+    # by grade, then hbar power (z-degree down), then exponents down
+    items = ((g, exps, terms[exps]) for g, terms in sorted(e._raw.items())
+             for exps in sorted(terms, key=lambda x: (sum(x), x),
+                                reverse=True))
     parts = []
-    for (h, exps), (re, im) in items:
+    for g, exps, (re, im) in items:
+        h = (g - sum(exps)) // 2
         factors = []
         if h:
             factors.append("h" if h == 1 else f"h^{h}")

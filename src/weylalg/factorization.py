@@ -21,7 +21,11 @@ determined up to truncation. The constructive direction implemented here:
   4. integrate D's dual gradient to S by the radial (Euler) formula, one
      extra grade of truncation; the integration checks that the gradient
      is exact, which for a polynomial 1-form is the same as closed, and
-     names the lowest grade of S that is not,
+     names the lowest grade of S that is not. Up to the truncation
+     order N a grade that is not closed means phi is not a morphism; at
+     grade N + 1 phi may be an automorphism of the truncated algebra
+     whose top-grade part does not lift to linear o inner (in A/X_{N+1}
+     every change of a generator image at grade N keeps the relations),
   5. recompose through the star recursion, which only certifies (known
      answers are built by substitution), and compare to phi term by term.
 
@@ -43,7 +47,7 @@ from .automorphism import (
     log_automorphism,
     pullback_automorphism,
 )
-from .elements import WeylElement, _acc_add, _key_grade
+from .elements import WeylElement, _acc_add
 from .errors import (
     ClosednessError,
     HbarScaleError,
@@ -85,12 +89,11 @@ def poincare_integrate(dv):
     lifted = ctx.lifted()
     acc = {}
     for k in range(n):
-        for (h, e), (re, im) in g[k]._raw.items():
-            m = sum(e)
-            exps = list(e)
-            exps[k] += 1
-            q = Fraction(1, m + 1)
-            _acc_add(acc, (h, tuple(exps)), re * q, im * q)
+        for grade, terms in g[k]._raw.items():
+            out = acc.setdefault(grade + 1, {})
+            for e, (re, im) in terms.items():
+                q = Fraction(1, sum(e) + 1)
+                _acc_add(out, e[:k] + (e[k] + 1,) + e[k + 1:], re * q, im * q)
     s = WeylElement._from_acc(lifted, acc)
     bad = None
     for k in range(n):
@@ -108,8 +111,8 @@ def poincare_integrate(dv):
 def _lowest_differing_grade(a, b):
     """Lowest grade at which the term maps of a and b differ, or None."""
     ra, rb = a._raw, b._raw
-    return min((_key_grade(key) for key in ra.keys() | rb.keys()
-                if ra.get(key) != rb.get(key)), default=None)
+    return min((g for g in ra.keys() | rb.keys() if ra.get(g) != rb.get(g)),
+               default=None)
 
 
 def kernel_check(phi):

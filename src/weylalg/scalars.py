@@ -159,6 +159,11 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def _coerce_gaussian(v):
+    """v itself if it is a GaussianRational, else GaussianRational(v)."""
+    return v if isinstance(v, GaussianRational) else GaussianRational(v)
+
+
 def _as_gaussian(v):
     if isinstance(v, GaussianRational):
         return v

@@ -30,15 +30,17 @@ derivative directions; each surviving combination contributes
     (-1)^{|l|} (-i/2)^{|k|+|l|} / (k! l!) *
     perm(a_xi, k) perm(b_x, k) perm(a_x, l) perm(b_xi, l)
 
-with perm the falling factorial, j = |k|+|l| added to the hbar power, and
-k+l subtracted from both paired exponents. The rational part is
+with perm the falling factorial and k+l subtracted from both paired
+exponents: the z-degree drops by 2j, j = |k|+|l|, and the hbar power,
+which the grade implies, rises by j. The rational part is
 num / (k! l! 2^j); (-i)^j is a quarter turn of the pair's coefficient,
-applied as signs and a swap of its real and imaginary parts. All
-grade-(m+n) terms of a grade-m times grade-n product coincide, so
-truncation prunes whole term pairs, never single combinations.
+applied as signs and a swap of its real and imaginary parts. Every term
+of a grade-m times grade-n product has grade m+n, so the kernel works a
+grade pair at a time, fills grade m+n of the result, and truncation
+prunes whole grade pairs, never single combinations.
 
-The arithmetic runs on integers. Only the grade buckets of an operand
-that meet some bucket of the other within the cutoff take part. Each
+The arithmetic runs on integers. Only the grades of an operand that
+meet some grade of the other within the cutoff take part. Each
 operand is written once as Gaussian-integer numerators over the lcm
 D_a (D_b) of its denominators, and every weight is scaled by
 L = jtop! 2^jtop to the integer num * (L / (k! l! 2^j)): k! l! divides
@@ -69,22 +71,22 @@ from .errors import InternalError
 from .scalars import QZERO
 
 
-def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
-    """Star product of bucketed raw term maps, keeping grades <= cutoff.
+def _moyal_raw(raw_a, raw_b, d, cutoff, parity):
+    """Star product of graded term maps, keeping grades <= cutoff.
 
     parity None keeps every order j of the series, 0 only the even j (the
     symmetric product (a*b + b*a)/2) and 1 only the odd j ((a*b - b*a)/2).
-    Returns the accumulator, zero entries included.
+    Returns the accumulator, zero entries and empty grades included.
     """
-    # the buckets that meet some bucket of the other operand within the
+    # the grades that meet some grade of the other operand within the
     # cutoff; either both operands keep some or neither does
-    if not buckets_a or not buckets_b:
+    if not raw_a or not raw_b:
         return {}
-    top_a, top_b = cutoff - min(buckets_b), cutoff - min(buckets_a)
-    live_a = {g: items for g, items in buckets_a.items() if g <= top_a}
+    top_a, top_b = cutoff - min(raw_b), cutoff - min(raw_a)
+    live_a = {g: terms for g, terms in raw_a.items() if g <= top_a}
     if not live_a:
         return {}
-    live_b = {g: items for g, items in buckets_b.items() if g <= top_b}
+    live_b = {g: terms for g, terms in raw_b.items() if g <= top_b}
     den_a, ints_a = _gaussian_numerators(live_a)
     den_b, ints_b = _gaussian_numerators(live_b)
     # L = jtop! 2^jtop, jtop bounded by the operands (module docstring)
@@ -95,20 +97,24 @@ def _moyal_raw(buckets_a, buckets_b, d, cutoff, parity):
         for gb, items_b in ints_b.items():
             if ga + gb > cutoff:
                 continue
-            for (h1, e1), re1, im1 in items_a:
-                for (h2, e2), re2, im2 in items_b:
-                    _moyal_pair(acc, d, h1, e1, h2, e2, re1 * re2 - im1 * im2,
+            out = acc.setdefault(ga + gb, {})
+            for e1, re1, im1 in items_a:
+                for e2, re2, im2 in items_b:
+                    _moyal_pair(out, d, e1, e2, re1 * re2 - im1 * im2,
                                 re1 * im2 + im1 * re2, parity, scale)
     den = den_a * den_b * scale
-    return {key: (Fraction(re, den) if re else QZERO,
-                  Fraction(im, den) if im else QZERO)
-            for key, (re, im) in acc.items()}
+    return {g: {e: (Fraction(re, den) if re else QZERO,
+                    Fraction(im, den) if im else QZERO)
+                for e, (re, im) in out.items()}
+            for g, out in acc.items()}
 
 
-def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity, scale):
+def _moyal_pair(out, d, e1, e2, pre, pim, parity, scale):
+    """Adds one term pair's orders of the kept parity into out, the term
+    dict of the pair's grade, keyed by exponents."""
     base = tuple(map(int.__add__, e1, e2))
     if parity != 1:
-        _acc_add(acc, (h1 + h2, base), pre * scale, pim * scale)
+        _acc_add(out, base, pre * scale, pim * scale)
 
     active = []
     jmax = 0
@@ -140,7 +146,6 @@ def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity, scale):
 
     # the parity of j that is dropped; j & 1 is never None
     skip = None if parity is None else 1 - parity
-    hbase = h1 + h2
     for combo in _iproduct(*lists):
         j = 0
         num = 1
@@ -162,7 +167,7 @@ def _moyal_pair(acc, d, h1, e1, h2, e2, pre, pim, parity, scale):
             if jp:
                 es[p] -= jp
                 es[d + p] -= jp
-        _acc_add(acc, (hbase + j, tuple(es)), tre * w, tim * w)
+        _acc_add(out, tuple(es), tre * w, tim * w)
 
 
 def moyal(a, b):
@@ -170,7 +175,7 @@ def moyal(a, b):
     _require_same_ctx(a, b)
     return WeylElement._from_acc(
         a.ctx,
-        _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc, None))
+        _moyal_raw(a._raw, b._raw, a.ctx.dim, a.ctx.trunc, None))
 
 
 def poisson(a, b):
@@ -190,9 +195,10 @@ def commutator(a, b):
     twice the odd-j terms of a * b: one kernel pass.
     """
     _require_same_ctx(a, b)
-    acc = _moyal_raw(a._buckets(), b._buckets(), a.ctx.dim, a.ctx.trunc, 1)
-    return WeylElement._from_acc(
-        a.ctx, {k: (re + re, im + im) for k, (re, im) in acc.items()})
+    acc = _moyal_raw(a._raw, b._raw, a.ctx.dim, a.ctx.trunc, 1)
+    return WeylElement._from_acc(a.ctx, {
+        g: {e: (re + re, im + im) for e, (re, im) in terms.items()}
+        for g, terms in acc.items()})
 
 
 def scaled_bracket(a, b):
@@ -201,12 +207,13 @@ def scaled_bracket(a, b):
     ctx = a.ctx if a.ctx.trunc <= b.ctx.trunc else b.ctx
     # the bracket peeks two grades above the quotient; each term of the
     # commutator, twice the odd orders, is multiplied by i and divided by
-    # one power of hbar
-    acc = _moyal_raw(a._buckets(), b._buckets(), ctx.dim, ctx.trunc + 2, 1)
+    # one power of hbar, which lowers its grade by 2
+    acc = _moyal_raw(a._raw, b._raw, ctx.dim, ctx.trunc + 2, 1)
     out = WeylElement._from_acc(ctx, {
-        (h - 1, e): (-im - im, re + re) for (h, e), (re, im) in acc.items()})
-    if any(h < 0 for h, _e in out._raw):
+        g - 2: {e: (-im - im, re + re) for e, (re, im) in terms.items()}
+        for g, terms in acc.items()})
+    if any(sum(e) > g for g, terms in out._raw.items() for e in terms):
         raise InternalError(
-            "commutator produced a term without an hbar factor; "
-            "star-product kernel is broken")
+            "commutator produced a term without an hbar factor (a term "
+            "with |exps| > grade); star-product kernel is broken")
     return out

@@ -18,7 +18,8 @@ from fractions import Fraction
 from .elements import (
     Context, WeylElement, MIN_TRUNC, _acc_add, _gaussian_numerators)
 from .errors import ContextError, NotSymplecticError, SingularMatrixError
-from .scalars import G_ONE, G_ZERO, GaussianRational, rational
+from .scalars import (
+    G_ONE, G_ZERO, GaussianRational, _coerce_gaussian, rational)
 from .star import poisson
 
 _J_CACHE = {}
@@ -38,10 +39,6 @@ def symplectic_form(d):
     return rows
 
 
-def _coerce_entry(v):
-    return v if isinstance(v, GaussianRational) else GaussianRational(v)
-
-
 class SympMatrix:
     """Complex-symplectic 2d x 2d matrix over the Gaussian rationals.
 
@@ -54,7 +51,7 @@ class SympMatrix:
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
+        rows = tuple(tuple(_coerce_gaussian(v) for v in row) for row in rows)
         n = len(rows)
         if n == 0 or n % 2 or any(len(r) != n for r in rows):
             raise ContextError("matrix must be square of even size 2d")
@@ -186,25 +183,27 @@ def pullback(m, a):
     its operands, so no coefficient costs a Fraction multiply.
     a(delta M z) is evaluated Horner-style: a = c + sum_k z_k a_k, with
     a_k free of z_0 .. z_{k-1}, so each node of the exponent trie costs
-    one multiply by a linear form and the sums are shared. Each monomial
-    key hbar^h z^e is packed into one int, h in the top field, with
-    fields wide enough that adding two keys can never carry. Substitution
-    keeps the hbar power and the z-degree, so an output term of z-degree
-    m is divided once, by D * delta^m.
+    one multiply by a linear form and the sums are shared. Each term of
+    a's graded term map is packed into one int key, its grade in the top
+    field above the exponents, with fields wide enough that adding two
+    keys can never carry; the grade field keeps hbar^h z^e apart from
+    z^e. Substitution keeps the hbar power and the z-degree, hence the
+    grade, and an output term of z-degree m is divided once, by
+    D * delta^m.
     """
     ctx = a.ctx
     _require_matrix_dim(m, ctx)
     n = ctx.nvars
     width = (2 * ctx.trunc).bit_length()
-    hshift = width * n
+    gshift = width * n
     # row k of delta*M as (unit key of z_l, re, im) for the nonzero entries
     delta, forms = _gaussian_numerators({
-        k: [(1 << (width * l), (v.re, v.im))
-            for l, v in enumerate(row) if not v.is_zero()]
+        k: {1 << (width * l): (v.re, v.im)
+            for l, v in enumerate(row) if not v.is_zero()}
         for k, row in enumerate(m.rows)})
 
     def subst(terms, lo):
-        # terms: [exps list, hpow, re, im], every exps zero below index lo
+        # terms: [exps list, grade, re, im], every exps zero below index lo
         acc = {}
         groups = {}
         for t in terms:
@@ -213,7 +212,7 @@ def pullback(m, a):
             while k < n and not e[k]:
                 k += 1
             if k == n:
-                _acc_add(acc, t[1] << hshift, t[2], t[3])
+                _acc_add(acc, t[1] << gshift, t[2], t[3])
             else:
                 e[k] -= 1
                 groups.setdefault(k, []).append(t)
@@ -225,8 +224,9 @@ def pullback(m, a):
                              re * fre - im * fim, re * fim + im * fre)
         return acc
 
-    den, groups = _gaussian_numerators({0: a._raw.items()})
-    terms = [[list(e), h, re, im] for (h, e), re, im in groups[0]]
+    den, groups = _gaussian_numerators(a._raw)
+    terms = [[list(e), g, re, im]
+             for g, items in groups.items() for e, re, im in items]
     mask = (1 << width) - 1
     scale = [den]
     out = {}
@@ -235,8 +235,8 @@ def pullback(m, a):
         deg = sum(exps)
         while len(scale) <= deg:
             scale.append(scale[-1] * delta)
-        out[(key >> hshift, exps)] = (Fraction(re, scale[deg]),
-                                      Fraction(im, scale[deg]))
+        out.setdefault(key >> gshift, {})[exps] = (
+            Fraction(re, scale[deg]), Fraction(im, scale[deg]))
     return WeylElement._from_acc(ctx, out)
 
 

@@ -174,6 +174,19 @@ def test_grading_inspection(ctx1):
     assert e.lowest_grade() == 1
     assert e.max_grade() == 2
     assert e.grades() == [1, 2]
+    # three hbar powers in one grade, each read back from its exponents
+    f = parse_element("x1^4 + h*x1*p1 + h^2", ctx1)
+    one = GaussianRational(1)
+    assert f.terms() == {Monomial(0, (4, 0)): one, Monomial(1, (1, 1)): one,
+                         Monomial(2, (0, 0)): one}
+    assert len(f) == 3
+    assert f.grades() == [4]
+    assert f.coefficient(1, (1, 1)) == one
+    assert f.coefficient(2, [0, 0]) == one
+    assert f.coefficient(0, (1, 1)).is_zero()
+    assert f.coefficient(1, (4, 0)).is_zero()
+    assert f.partial(0) == parse_element("4*x1^3 + h*p1", ctx1)
+    assert f.partial(1) == parse_element("h*x1", ctx1)
 
 
 def test_truncation():
@@ -224,6 +237,15 @@ def test_hbar_shift(ctx1):
         parse_element("x1 + h*p1", ctx1).hbar_shift(-1)
     assert parse_element("h*x1 + h^2*p1", ctx1).hbar_shift(-1) == \
         parse_element("x1 + h*p1", ctx1)
+    f = parse_element("x1^4 + h*x1*p1 + h^2", ctx1)
+    up = f.hbar_shift(1)
+    assert up == parse_element("h*x1^4 + h^2*x1*p1 + h^3", ctx1)
+    assert up.grades() == [6] and len(up) == 3
+    assert up.coefficient(3, (0, 0)).is_one()
+    assert f.hbar_shift(3).is_zero()  # grade 10 is past the truncation
+    with pytest.raises(ContextError):
+        f.hbar_shift(-1)  # x1^4 carries no hbar
+    assert up.hbar_shift(-1) == f
 
 
 def test_partial_derivative(ctx2):

@@ -21,6 +21,7 @@ from weylalg import (
     ResidualMismatchError,
     SympMatrix,
     WeylElement,
+    automorphism_record,
     compose,
     dual_gradient,
     exp_derivation,
@@ -33,8 +34,11 @@ from weylalg import (
     poincare_integrate,
     pullback,
     pullback_automorphism,
+    save_record,
     verify_factorization,
+    verify_morphism,
 )
+from weylalg.cli import main
 from weylalg.sampling import random_element, random_inner_generator, random_instance
 from weylalg.symplectic import random_symplectic_rng
 
@@ -100,6 +104,29 @@ def test_closedness_error_names_the_generator_grade(ctx1):
     with pytest.raises(ClosednessError,
                        match="generator grade 4 at variable x1$"):
         poincare_integrate(dv)
+
+
+def test_top_grade_change_is_a_morphism_that_does_not_factor(
+        ctx1, tmp_path, capsys):
+    # in A/X_9 a change of an image at grade 8 keeps every relation, since
+    # [f, z_l] of a grade-8 f has grade >= 9; the log still finds it, but
+    # it is not the dual gradient of a closed S_9
+    top = _auto(ctx1, "x1 + x1^8", "p1")
+    report = verify_morphism(top, 8)
+    assert report.passed and report.pairs_checked == 1190
+    with pytest.raises(ClosednessError,
+                       match="generator grade 9 at variable x1$"):
+        factor(top)
+    path = tmp_path / "top.json"
+    save_record(automorphism_record(top), path)
+    assert main(["factor", str(path)]) == 14
+    assert "generator grade 9 at variable x1" in capsys.readouterr().err
+    # one grade lower the same change breaks the relations
+    below = _auto(ctx1, "x1 + x1^7", "p1")
+    assert not verify_morphism(below, 8)
+    with pytest.raises(ClosednessError,
+                       match="generator grade 8 at variable x1$"):
+        factor(below)
 
 
 def _series_log(phi):

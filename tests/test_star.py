@@ -189,7 +189,7 @@ def test_commutator_is_difference_of_products(rng):
             assert commutator(a, b) == ab - ba
             for parity, want in ((0, ab + ba), (1, ab - ba)):
                 got = WeylElement._from_acc(ctx, _moyal_raw(
-                    a._buckets(), b._buckets(), d, ctx.trunc, parity))
+                    a._raw, b._raw, d, ctx.trunc, parity))
                 assert got == want.scale(half)
 
 
@@ -253,7 +253,7 @@ def test_product_at_the_cutoff_matches_oracle(d, left, right):
     assert_matches(moyal(b, a), ba)
     for parity, want in ((0, ab + ba), (1, ab - ba)):
         got = WeylElement._from_acc(ctx, _moyal_raw(
-            a._buckets(), b._buckets(), d, 8, parity))
+            a._raw, b._raw, d, 8, parity))
         assert_matches(got, want / 2)
 
 
