@@ -50,7 +50,7 @@ from .errors import (
 )
 from .scalars import G_MINUS_I, G_ONE, QONE, QZERO, _coerce_gaussian
 from .star import _moyal_raw, commutator, moyal, scaled_bracket
-from .symplectic import SympMatrix, pullback, symplectic_form
+from .symplectic import SympMatrix, _require_matrix_dim, symplectic_form
 
 
 class _StarRecursionMap:
@@ -165,11 +165,18 @@ class AutomorphismData(_StarRecursionMap):
 def pullback_automorphism(m, ctx):
     """The automorphism z_k -> (Mz)_k of a SympMatrix M.
 
-    The only place a matrix becomes an automorphism: its images are the
-    substitutions pullback(M, z_k), and its apply runs the star recursion.
+    The only place a matrix becomes an automorphism: image k is read off
+    row k of M, sum_l M[k][l] z_l, with no substitution, and apply runs
+    the star recursion. verify_factorization builds its certificate
+    here, so it runs none of symplectic.pullback's code.
     """
-    return AutomorphismData(
-        ctx, [pullback(m, WeylElement.variable(ctx, k)) for k in range(ctx.nvars)])
+    _require_matrix_dim(m, ctx)
+    n = ctx.nvars
+    units = [tuple(int(i == l) for i in range(n)) for l in range(n)]
+    return AutomorphismData(ctx, [
+        WeylElement._from_acc(ctx, {1: {
+            unit: (v.re, v.im) for unit, v in zip(units, row)}})
+        for row in m.rows])
 
 
 def identity_automorphism(ctx):

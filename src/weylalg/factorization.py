@@ -11,7 +11,11 @@ determined up to truncation. The constructive direction implemented here:
   2. peel it off: psi = pullback(M^-1) o phi has identity linear part;
      its images are the substitutions phi(z_k)(M^-1 z), which is exact
      because M has just been checked to be symplectic, and a symplectic
-     linear map acts on Weyl symbols by plain substitution,
+     linear map acts on Weyl symbols by plain substitution. M^-1 is
+     factored once into 2d or fewer maps that each change one variable,
+     z_i -> l . z, and a permutation; each image is substituted through
+     them in turn, one Horner scheme in one variable per map
+     (symplectic.pullback),
   3. take D = log(psi), a derivation with images in X_2, solved one
      grade at a time: the grade-g part of D(z_k) is the grade-g part of
      psi(z_k) - exp(D_<g)(z_k). The piece D_h of grade h raises grades by

@@ -5,6 +5,14 @@ pullback of an element substitutes z -> Mz. This module knows nothing of
 automorphisms: automorphism.pullback_automorphism is where a matrix
 becomes one.
 
+The substitution peels one variable at a time. Each matrix is factored
+once, M = E_1 ... E_T P with T <= 2d, each E_t the identity but for one
+row i (z_i -> l_t . z) and P a permutation; a(Mz) substitutes through
+E_1, E_2, ... in turn, each a Horner scheme in z_i alone, and relabels
+the variables by P. It runs on Gaussian integers: l_t = lam_t / delta_t,
+step t scales every term by delta_t to the top power of z_i it meets,
+and one denominator is divided once per output term.
+
 The symplectic form J is not hard-coded: it is computed once per
 dimension from the Poisson bracket on the linear basis
 (J[k][l] = {z_k, z_l}), so the two modules cannot drift apart. With this
@@ -14,15 +22,16 @@ engine's bracket convention J = [[0, -I], [I, 0]].
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .elements import (
-    Context, WeylElement, MIN_TRUNC, _acc_add, _gaussian_numerators)
+from .elements import Context, WeylElement, MIN_TRUNC, _gaussian_numerators
 from .errors import ContextError, NotSymplecticError, SingularMatrixError
 from .scalars import (
-    G_ONE, G_ZERO, GaussianRational, _coerce_gaussian, rational)
+    G_ONE, G_ZERO, QZERO, GaussianRational, _coerce_gaussian, rational)
 from .star import poisson
 
 _J_CACHE = {}
+_J_COLUMNS = {}   # d -> [(b_c, s_c == 1)]: column c of J holds s_c in row b_c
 
 
 def symplectic_form(d):
@@ -48,7 +57,7 @@ class SympMatrix:
     matrices are symplectic, so `@` and inverse() skip the check.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_factors")
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce_gaussian(v) for v in row) for row in rows)
@@ -57,6 +66,7 @@ class SympMatrix:
             raise ContextError("matrix must be square of even size 2d")
         object.__setattr__(self, "dim", n // 2)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_factors", None)
         if not is_symplectic(self):
             _require_invertible(rows)
             raise NotSymplecticError("matrix does not satisfy M^T J M = J")
@@ -67,6 +77,7 @@ class SympMatrix:
         m = object.__new__(cls)
         object.__setattr__(m, "dim", len(rows) // 2)
         object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_factors", None)
         return m
 
     def __setattr__(self, name, value):
@@ -85,9 +96,13 @@ class SympMatrix:
         If column c of J holds s_c in row b_c, then J^-1 = J^T and entry
         (r, c) is s_r s_c M[b_c][b_r].
         """
-        j = symplectic_form(self.dim)
-        n = len(j)
-        src = [next((b, j[b][c]) for b in range(n) if j[b][c]) for c in range(n)]
+        src = _J_COLUMNS.get(self.dim)
+        if src is None:
+            j = symplectic_form(self.dim)
+            n = len(j)
+            src = _J_COLUMNS[self.dim] = [
+                next((b, j[b][c].is_one()) for b in range(n) if j[b][c])
+                for c in range(n)]
         m = self.rows
         return SympMatrix._unchecked(tuple(
             tuple(m[bc][br] if sr == sc else -m[bc][br] for bc, sc in src)
@@ -163,81 +178,204 @@ def _require_matrix_dim(m, ctx):
             f"matrix is for dim {m.dim}, context has dim {ctx.dim}")
 
 
+def _row_factors(m):
+    """M = E_1 ... E_T P, computed once per matrix and kept on it.
+
+    Returns (steps, perm). Step t is (i, delta, lam): E_t is the identity
+    with row i replaced by l = lam / delta in lowest terms, lam given by
+    its nonzero entries (k, re, im) as Gaussian integers and delta > 0.
+    perm[i] = j says (Pz)_i = z_j. No E_t is the identity, so T <= 2d.
+
+    X = C^-1, for C = E_t^-1 ... E_1^-1 M the part of M not yet factored,
+    starts as M^-1, which for a symplectic matrix is free. Each step
+    picks an undone row i and an unused row j of X with X[j][i] != 0,
+    preferring a sparse row j and then i == j, sets l from c = X[j]
+    (l_i = 1/c_i, l_k = -c_k/c_i) and updates X <- X E_t, which turns row
+    j of X into e_i and leaves the rows already done alone. When every
+    row is done X is a permutation, and C = X^-1 is P. Such a pair always
+    exists: the unused rows of X, read in the undone columns, form an
+    invertible block. Each row of X is kept sparse, as Gaussian integers
+    over a scale of its own, so zeros cost nothing and no step does
+    Fraction arithmetic; the peel's M^-1 has about 2 nonzeros a row.
+    """
+    factors = m._factors
+    if factors is not None:
+        return factors
+    n = 2 * m.dim
+    # row r of X is ({k: (re, im)}, s): Gaussian integers over s
+    s, rows = _gaussian_numerators({
+        r: {k: (v.re, v.im) for k, v in enumerate(row) if v}
+        for r, row in enumerate(m.inverse().rows)})
+    x = [({k: (re, im) for k, re, im in rows[r]}, s) for r in range(n)]
+    todo = set(range(n))
+    free = set(range(n))
+    perm = [None] * n
+    steps = []
+    for _ in range(n):
+        _, _, i, j = min((len(x[j][0]), i != j, i, j)
+                         for i in todo for j in free if i in x[j][0])
+        todo.remove(i)
+        free.remove(j)
+        perm[i] = j
+        c, s = x[j]
+        a, b = c[i]
+        x[j] = ({i: (1, 0)}, 1)
+        if len(c) == 1 and a == s and not b:
+            continue
+        # l = lam / delta: l_i = s / c_i and l_k = -c_k / c_i, over |c_i|^2
+        lam = {k: (-(re * a + im * b), re * b - im * a)
+               for k, (re, im) in c.items()}
+        lam[i] = (s * a, -s * b)
+        delta = a * a + b * b
+        g = gcd(delta, *(v for pair in lam.values() for v in pair))
+        delta //= g
+        lam = {k: (re // g, im // g) for k, (re, im) in lam.items()}
+        # X <- X E_t: column k gains column i times (l_k - [k = i])
+        shift = dict(lam)
+        shift[i] = (lam[i][0] - delta, lam[i][1])
+        for r, (row, sr) in enumerate(x):
+            xi = row.get(i)
+            if xi is None or r == j:
+                continue
+            xr, xm = xi
+            row = {k: (delta * re, delta * im) for k, (re, im) in row.items()}
+            for k, (lr, lm) in shift.items():
+                re, im = row.get(k, (0, 0))
+                re += xr * lr - xm * lm
+                im += xr * lm + xm * lr
+                if re or im:
+                    row[k] = (re, im)
+                else:
+                    row.pop(k, None)
+            sr *= delta
+            g = gcd(sr, *(v for pair in row.values() for v in pair))
+            x[r] = ({k: (re // g, im // g) for k, (re, im) in row.items()},
+                    sr // g)
+        steps.append((i, delta, tuple(
+            (k, re, im) for k, (re, im) in sorted(lam.items()))))
+    factors = (tuple(steps), tuple(perm))
+    object.__setattr__(m, "_factors", factors)
+    return factors
+
+
+def _add_scaled(acc, terms, unit, c):
+    """acc + z^unit * c * terms, on packed keys and int coefficients.
+
+    Fills acc in place and returns it, or a new dict if acc is empty.
+    """
+    if not acc:
+        return {key + unit: v * c for key, v in terms.items()}
+    get = acc.get
+    for key, v in terms.items():
+        key += unit
+        acc[key] = get(key, 0) + v * c
+    return acc
+
+
+def _substitute_variable(re, im, shift, mask, form, delta):
+    """re + i*im with z_i -> lam . z, every term times delta^R.
+
+    z_i sits in the key field at shift, form lists lam's nonzero entries
+    as (unit key, re, im), and R is the top power of z_i present. With
+    b = sum_r z_i^r b_r, Horner runs H <- H * lam + delta^(R-r) b_r for
+    r = R .. 0, so every term carries the same delta^R. Returns the two
+    int maps, entries that cancelled dropped, and R.
+    """
+    split = {}
+    for part, terms in enumerate((re, im)):
+        for key, v in terms.items():
+            r = (key >> shift) & mask
+            split.setdefault(r, ({}, {}))[part][key - (r << shift)] = v
+    top = max(split, default=0)
+    if not top:
+        return re, im, 0
+    hre, him = split[top]
+    for r in range(top - 1, -1, -1):
+        nre, nim = {}, {}
+        for unit, lre, lim in form:
+            if lre:
+                nre = _add_scaled(nre, hre, unit, lre)
+                nim = _add_scaled(nim, him, unit, lre)
+            if lim:
+                nim = _add_scaled(nim, hre, unit, lim)
+                nre = _add_scaled(nre, him, unit, -lim)
+        low = split.get(r)
+        if low is not None:
+            scale = delta ** (top - r)
+            nre = _add_scaled(nre, low[0], 0, scale)
+            nim = _add_scaled(nim, low[1], 0, scale)
+        hre, him = nre, nim
+    return ({k: v for k, v in hre.items() if v},
+            {k: v for k, v in him.items() if v}, top)
+
+
 def pullback(m, a):
     """The substitution a(Mz): a composed with z -> Mz, for a SympMatrix M.
 
-    On a variable it gives (Mz)_k, the generator images from which
-    automorphism.pullback_automorphism builds its automorphism. It
-    equals that automorphism's apply(a), computed by the star
-    recursion: under a linear symplectic map Weyl symbols transform
-    by plain substitution (metaplectic covariance, Folland 1989, ch. 4).
-    Each step of the recursion takes the symmetric product of a linear
-    image (Mz)_k with an image known by induction, which is their plain
-    product. The two algorithms are kept apart on purpose; tests hold
-    this one against the recursion.
+    It equals automorphism.pullback_automorphism(M)'s apply(a), computed
+    by the star recursion: under a linear symplectic map Weyl symbols
+    transform by plain substitution (metaplectic covariance, Folland
+    1989, ch. 4). Each step of the recursion takes the symmetric product
+    of a linear image (Mz)_k with an image known by induction, which is
+    their plain product. The two algorithms are kept apart on purpose;
+    tests hold this one against the recursion.
 
-    The work is done on Gaussian integers. M is scaled by delta, the lcm of
-    its entries' denominators, and a's coefficients are written as
-    numerators over one common denominator D. Both go through
-    elements._gaussian_numerators, the helper the Moyal kernel uses for
-    its operands, so no coefficient costs a Fraction multiply.
-    a(delta M z) is evaluated Horner-style: a = c + sum_k z_k a_k, with
-    a_k free of z_0 .. z_{k-1}, so each node of the exponent trie costs
-    one multiply by a linear form and the sums are shared. Each term of
-    a's graded term map is packed into one int key, its grade in the top
-    field above the exponents, with fields wide enough that adding two
-    keys can never carry; the grade field keeps hbar^h z^e apart from
-    z^e. Substitution keeps the hbar power and the z-degree, hence the
-    grade, and an output term of z-degree m is divided once, by
-    D * delta^m.
+    M is factored once, M = E_1 ... E_T P with T <= 2d (_row_factors):
+    each E_t differs from the identity in one row i only, z_i -> l_t . z,
+    and P permutes the variables. a(Mz) is a substituted through E_1,
+    E_2, ... in turn, each step a Horner scheme in the one variable z_i,
+    so no intermediate is a product of forms in all 2d variables, and
+    then relabelled by P, which costs nothing.
+
+    The work is done on Gaussian integers, the real and the imaginary
+    parts in two int maps, so real inputs do no imaginary work. a's
+    coefficients are numerators over one common denominator D
+    (elements._gaussian_numerators), and l_t = lam_t / delta_t with lam_t
+    Gaussian integers. Step t scales every term by delta_t^R_t, R_t the
+    top power of z_i it meets, so one denominator,
+    D * prod_t delta_t^R_t, is divided once per output term. Each term
+    of a's graded term map is packed into one int key, its grade in the
+    top field above the exponents, with fields wide enough that no
+    exponent carries into the next; the grade field keeps hbar^h z^e
+    apart from z^e. Substitution keeps the hbar power and the z-degree,
+    hence the grade.
     """
     ctx = a.ctx
     _require_matrix_dim(m, ctx)
     n = ctx.nvars
     width = (2 * ctx.trunc).bit_length()
     gshift = width * n
-    # row k of delta*M as (unit key of z_l, re, im) for the nonzero entries
-    delta, forms = _gaussian_numerators({
-        k: {1 << (width * l): (v.re, v.im)
-            for l, v in enumerate(row) if not v.is_zero()}
-        for k, row in enumerate(m.rows)})
-
-    def subst(terms, lo):
-        # terms: [exps list, grade, re, im], every exps zero below index lo
-        acc = {}
-        groups = {}
-        for t in terms:
-            e = t[0]
-            k = lo
-            while k < n and not e[k]:
-                k += 1
-            if k == n:
-                _acc_add(acc, t[1] << gshift, t[2], t[3])
-            else:
-                e[k] -= 1
-                groups.setdefault(k, []).append(t)
-        for k, sub in groups.items():
-            form = forms[k]
-            for key, (re, im) in subst(sub, k).items():
-                for unit, fre, fim in form:
-                    _acc_add(acc, key + unit,
-                             re * fre - im * fim, re * fim + im * fre)
-        return acc
-
-    den, groups = _gaussian_numerators(a._raw)
-    terms = [[list(e), g, re, im]
-             for g, items in groups.items() for e, re, im in items]
     mask = (1 << width) - 1
-    scale = [den]
+    steps, perm = _row_factors(m)
+    den, groups = _gaussian_numerators(a._raw)
+    re, im = {}, {}
+    for g, items in groups.items():
+        for e, nre, nim in items:
+            key = g << gshift
+            for l, v in enumerate(e):
+                key += v << (width * l)
+            if nre:
+                re[key] = nre
+            if nim:
+                im[key] = nim
+    for i, delta, lam in steps:
+        form = [(1 << (width * k), lre, lim) for k, lre, lim in lam]
+        re, im, top = _substitute_variable(
+            re, im, width * i, mask, form, delta)
+        den *= delta ** top
+    # P: field i of a key is the exponent of z_perm[i]
+    shifts = [0] * n
+    for i, j in enumerate(perm):
+        shifts[j] = width * i
+    # every entry left is nonzero, and most terms are real
     out = {}
-    for key, (re, im) in subst(terms, 0).items():
-        exps = tuple((key >> (width * l)) & mask for l in range(n))
-        deg = sum(exps)
-        while len(scale) <= deg:
-            scale.append(scale[-1] * delta)
-        out.setdefault(key >> gshift, {})[exps] = (
-            Fraction(re, scale[deg]), Fraction(im, scale[deg]))
-    return WeylElement._from_acc(ctx, out)
+    for key in [*re, *(k for k in im if k not in re)]:
+        vre, vim = re.get(key), im.get(key)
+        out.setdefault(key >> gshift, {})[
+            tuple([(key >> s) & mask for s in shifts])] = (
+            Fraction(vre, den) if vre else QZERO,
+            Fraction(vim, den) if vim else QZERO)
+    return WeylElement._from_raw(ctx, out)
 
 
 # deterministic random generation

@@ -1,12 +1,14 @@
 """Factorization pipeline: gradient, integration, factor, verification."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import weylalg.automorphism as automorphism_module
 import weylalg.factorization as factorization_module
+import weylalg.symplectic as symplectic_module
 from weylalg import (
     MIN_TRUNC,
     AutomorphismData,
@@ -252,6 +254,53 @@ def test_log_builds_no_exponential_series(monkeypatch):
     assert dv.images == want
     assert poincare_integrate(dv) == s
     assert exp_derivation(dv).images == psi.images
+
+
+def test_verify_runs_no_substitution(monkeypatch):
+    # verify certifies through the star recursion alone: it builds its
+    # automorphism from M's rows and never substitutes
+    ctx = Context(2, 8)
+    phi, m, s = random_instance(random.Random(108), ctx, steps=8,
+                                generator_terms=10)
+
+    def no_pullback(*args):
+        raise AssertionError("verify_factorization substituted")
+
+    with monkeypatch.context() as patch:
+        for name in ("pullback", "_row_factors", "_substitute_variable"):
+            patch.setattr(symplectic_module, name, no_pullback)
+        patch.setattr(factorization_module, "pullback", no_pullback)
+        report = verify_factorization(phi, m, s)
+    assert report.passed
+
+
+def test_top_grade_rejections_are_the_only_morphisms_rejected():
+    # one-term perturbations of known answers: factor accepts only
+    # morphisms, a generator grade <= N that is not closed means a
+    # non-morphism, and one at N + 1 a morphism that does not lift
+    rng = random.Random(8)
+    seen = {}
+    for d, trunc, draws in [(1, 4, 8), (1, 5, 8), (1, 6, 8), (2, 4, 6),
+                            (2, 5, 4), (2, 6, 2)]:
+        ctx = Context(d, trunc)
+        for _ in range(draws):
+            phi, _m, _s = random_instance(rng, ctx, steps=3, generator_terms=2)
+            images = list(phi.images)
+            k = rng.randrange(ctx.nvars)
+            images[k] = images[k] + random_element(rng, ctx, 1, min_grade=2)
+            phi = AutomorphismData(ctx, images)
+            morphism = verify_morphism(phi, trunc).passed
+            try:
+                factor(phi)
+                outcome = "accepted"
+            except ClosednessError as exc:
+                grade = int(re.search(r"generator grade (\d+) ",
+                                      str(exc)).group(1))
+                outcome = "top" if grade == trunc + 1 else (
+                    "grade N" if grade == trunc else "below N")
+            assert morphism == (outcome in ("accepted", "top")), outcome
+            seen[outcome] = seen.get(outcome, 0) + 1
+    assert sorted(seen) == ["accepted", "below N", "grade N", "top"], seen
 
 
 def test_factor_raises_on_forced_residual_failure(ctx1, monkeypatch):

@@ -1,6 +1,7 @@
 """Symplectic matrices, the form J, and linear pullbacks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ from weylalg import (
     symplectic_form,
 )
 from weylalg.sampling import random_element, random_instance
-from weylalg.symplectic import random_symplectic_rng
+from weylalg.symplectic import _pair_swap, random_symplectic_rng
 
 
 def test_form_has_standard_block_shape():
@@ -127,21 +128,109 @@ def test_pullback_group_law(rng, ctx2):
         assert pullback(m1, pullback(m2, a)) == pullback(m2 @ m1, a)
 
 
-def test_pullback_matches_automorphism_recursion(rng, ctx2):
-    # two independent code paths: direct substitution vs star recursion.
-    # Complex matrix entries exercise the D * delta^m reduction; the lifted
-    # context (trunc 9, grade-9 terms, a ninth power) the packed-key width.
-    lifted = ctx2.lifted()
-    cases = [(ctx2, False)] * 6 + [(ctx2, True), (lifted, True)]
-    for ctx, complex_entries in cases:
-        m = random_symplectic_rng(rng, 2, rng.randint(1, 6),
-                                  complex_entries=complex_entries)
-        a = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
-        if ctx.trunc == 9:
-            a = a + random_element(rng, ctx, 3, min_grade=9,
-                                   complex_scalars=True) \
-                + WeylElement.monomial(ctx, 0, (0, 9, 0, 0), "1/3")
-        assert pullback(m, a) == pullback_automorphism(m, ctx).apply(a)
+def _special_matrices(d):
+    """J, a product of pair swaps, and a matrix whose inverse has a zero
+    diagonal (so P != I): the inverse is [[0, B], [-B^-T, 0]] with B the
+    unit upper bidiagonal matrix."""
+    n = 2 * d
+    inv = [[GaussianRational(0)] * n for _ in range(n)]
+    for r in range(d):
+        inv[r][d + r] = GaussianRational(1)
+        if r + 1 < d:
+            inv[r][d + r + 1] = GaussianRational(1)
+        for c in range(r + 1):
+            inv[d + r][c] = GaussianRational(-(-1) ** (r - c))
+    return [SympMatrix(symplectic_form(d)),
+            _pair_swap(d, 0) @ _pair_swap(d, d - 1),
+            SympMatrix(inv).inverse()]
+
+
+def _factor_cases(rng):
+    for d in (1, 2, 3):
+        for complex_entries in (False, True):
+            for _ in range(3):
+                yield random_symplectic_rng(rng, d, rng.randint(1, 8),
+                                            complex_entries=complex_entries)
+        yield from _special_matrices(d)
+
+
+def _identity_rows(n):
+    return [[GaussianRational(int(r == c)) for c in range(n)]
+            for r in range(n)]
+
+
+def _matmul(a, b):
+    return [[sum((a[r][k] * b[k][c] for k in range(len(b))),
+                 GaussianRational(0)) for c in range(len(b[0]))]
+            for r in range(len(a))]
+
+
+def test_row_factors_multiply_back(rng):
+    # M = E_1 ... E_T P exactly, each E_t the identity but for one row
+    for m in _factor_cases(rng):
+        n = 2 * m.dim
+        eye = _identity_rows(n)
+        factors = symplectic._row_factors(m)
+        assert symplectic._row_factors(m) is factors   # once per matrix
+        steps, perm = factors
+        assert sorted(perm) == list(range(n)) and len(steps) <= n
+        product = eye
+        for i, delta, lam in steps:
+            e = _identity_rows(n)
+            e[i] = [GaussianRational(0)] * n
+            for k, re, im in lam:
+                e[i][k] = GaussianRational(Fraction(re, delta),
+                                           Fraction(im, delta))
+            assert [r for r in range(n) if e[r] != eye[r]] == [i]
+            product = _matmul(product, e)
+        p = [[GaussianRational(int(perm[r] == c)) for c in range(n)]
+             for r in range(n)]
+        assert tuple(map(tuple, _matmul(product, p))) == m.rows
+    # J, and the matrix whose inverse has a zero diagonal, need P
+    for d in (1, 2, 3):
+        j, _swaps, zero_diagonal = _special_matrices(d)
+        for m in (j, zero_diagonal):
+            assert symplectic._row_factors(m)[1] != tuple(range(2 * d))
+
+
+def test_pullback_matches_automorphism_recursion(rng):
+    # two independent code paths: one-row substitution vs star recursion,
+    # on real and complex matrices, the special ones, hbar terms, zero and
+    # grade-9 terms with a ninth power in the lifted context
+    for d in (1, 2, 3):
+        ctx = Context(d, 8)
+        lifted = ctx.lifted()
+        mats = [random_symplectic_rng(rng, d, rng.randint(1, 6)),
+                random_symplectic_rng(rng, d, rng.randint(1, 6),
+                                      complex_entries=True)]
+        for m in mats + _special_matrices(d):
+            real = all(v.is_real() for row in m.rows for v in row)
+            a = random_element(rng, ctx, 4, max_grade=6,
+                               complex_scalars=not real)
+            a = a + WeylElement.monomial(ctx, 1, (1,) + (0,) * (2 * d - 1),
+                                         "2/3") \
+                + WeylElement.hbar(ctx, 2)
+            pa = pullback_automorphism(m, ctx)
+            assert pullback(m, a) == pa.apply(a)
+            zero = WeylElement.zero(ctx)
+            assert pullback(m, zero) == zero
+        a = random_element(rng, lifted, 4, max_grade=6, complex_scalars=True) \
+            + random_element(rng, lifted, 3, min_grade=9, complex_scalars=True) \
+            + WeylElement.monomial(lifted, 0, (0, 9) + (0,) * (2 * d - 2), "1/3")
+        assert pullback(mats[1], a) == \
+            pullback_automorphism(mats[1], lifted).apply(a)
+
+
+def test_pullback_automorphism_reads_images_off_rows(rng):
+    # verify's automorphism has the substitution's images, read off M
+    for d in (1, 2, 3):
+        ctx = Context(d, 8)
+        for m in [random_symplectic_rng(rng, d, 6, complex_entries=True)] \
+                + _special_matrices(d):
+            phi = pullback_automorphism(m, ctx)
+            assert list(phi.images) == [
+                pullback(m, WeylElement.variable(ctx, k))
+                for k in range(ctx.nvars)]
 
 
 def test_random_instance_substitution_matches_recursion(rng):
