@@ -18,10 +18,16 @@ maps differ only in the image of 1 (1 or 0) and in the product rule
 applied to z_k o z^beta: phi(z_k) o phi(z^beta) for an automorphism, the
 Leibniz rule D(z_k) o z^beta + z_k o D(z^beta) for a derivation. The scale
 c enters only where apply maps hbar to c*hbar. Images are memoized per
-exponent tuple as graded term maps, so repeated applications
-(composition, logarithms, verification sweeps) stay cheap, and apply
-adds a term's image a whole grade at a time: hbar^h z^e maps to
-hbar^h phi(z^e), each grade of phi(z^e) moved up by 2h.
+exponent tuple, so repeated applications (composition, logarithms,
+verification sweeps) stay cheap. The memo holds each image in numerator
+form, Gaussian-integer numerators over one denominator grouped by grade,
+which the Moyal kernel takes as they are; each new image is reduced by
+the gcd of its denominator and numerators, so that denominators do not
+grow down the recursion. apply writes its argument, each hbar^h already
+scaled by c^h, over one denominator, scales every image it reaches to
+the lcm of their denominators and sums plain integers, a whole grade at
+a time: hbar^h z^e maps to hbar^h phi(z^e), each grade of phi(z^e) moved
+up by 2h. It makes one Fraction per output part.
 
 exp/log convert between derivations with images in X_2 and automorphisms
 with identity linear part. exp, and inner(S) = exp((i/hbar) ad_S), are
@@ -36,10 +42,11 @@ grows a table of graded powers [D^m(z_k)]_g by one grade per step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .elements import (
-    Context, WeylElement, _acc_add, _acc_merge, monomials_of_grade)
+    Context, WeylElement, _acc_add, _acc_merge, _from_numerators,
+    _gaussian_numerators, monomials_of_grade)
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -48,7 +55,7 @@ from .errors import (
     InvalidImageError,
     KernelPreconditionError,
 )
-from .scalars import G_MINUS_I, G_ONE, QONE, QZERO, _coerce_gaussian
+from .scalars import G_MINUS_I, G_ONE, _coerce_gaussian
 from .star import _moyal_raw, commutator, moyal, scaled_bracket
 from .symplectic import SympMatrix, _require_matrix_dim, symplectic_form
 
@@ -56,9 +63,11 @@ from .symplectic import SympMatrix, _require_matrix_dim, symplectic_form
 class _StarRecursionMap:
     """A linear map fixed by generator images, extended by the star recursion.
 
-    Subclasses set `_kind` (for messages), `_one` (the image of 1) and
-    `_product(k, beta)`, the raw image of z^alpha = z_k o z^beta, the
-    symmetric product. apply scales each hbar of its argument by c.
+    Subclasses set `_kind` (for messages), `_one` (the image of 1, 1 or
+    0) and `_product(unit, beta)`, the image of z^alpha = z_k o z^beta,
+    the symmetric product, with unit the exponents of z_k; it returns an
+    integer accumulator over a denominator, (den, acc). apply scales each
+    hbar of its argument by c.
     """
 
     __slots__ = ("ctx", "images", "_c", "_memo")
@@ -91,22 +100,24 @@ class _StarRecursionMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _image(self, e):
-        """Graded term map of the image of the plain monomial z^e."""
+        """Image of the plain monomial z^e in numerator form,
+        (den, {grade: [(exps, re, im)]}), reduced by its gcd."""
         memo = self._memo
-        raw = memo.get(e)
-        if raw is not None:
-            return raw
+        num = memo.get(e)
+        if num is not None:
+            return num
         deg = sum(e)
         if deg == 0:
-            raw = {0: {e: (self._one, QZERO)}} if self._one else {}
+            num = (1, {0: [(e, 1, 0)]} if self._one else {})
         elif deg == 1:
-            raw = self.images[e.index(1)]._raw
+            num = _gaussian_numerators(self.images[e.index(1)]._raw)
         else:
             k = next(i for i, v in enumerate(e) if v)
+            unit = e[:k] + (1,) + (0,) * (len(e) - k - 1)
             beta = e[:k] + (e[k] - 1,) + e[k + 1:]
-            raw = WeylElement._from_acc(self.ctx, self._product(k, beta))._raw
-        memo[e] = raw
-        return raw
+            num = _reduced(*self._product(unit, beta))
+        memo[e] = num
+        return num
 
     def apply(self, a):
         if a.ctx != self.ctx:
@@ -114,21 +125,41 @@ class _StarRecursionMap:
                 f"element context {a.ctx} != {self._kind} context {self.ctx}")
         trunc = self.ctx.trunc
         c = self._c
-        acc = {}
-        for ga, terms in a._raw.items():
-            for e, (re, im) in terms.items():
+        raw = a._raw
+        if not c.is_one():
+            raw = {}
+            for ga, terms in a._raw.items():
+                out = raw[ga] = {}
+                for e, (re, im) in terms.items():
+                    ch = c ** ((ga - sum(e)) // 2)  # h the term's hbar power
+                    out[e] = (re * ch.re - im * ch.im, re * ch.im + im * ch.re)
+        den_a, groups = _gaussian_numerators(raw)
+        # the images that reach the truncation, over the lcm of their dens
+        parts = []
+        den = 1
+        for ga, items in groups.items():
+            for e, re, im in items:
                 shift = ga - sum(e)     # 2h, h the term's hbar power
-                if shift and not c.is_one():
-                    ch = c ** (shift // 2)
-                    re, im = re * ch.re - im * ch.im, re * ch.im + im * ch.re
-                for g, image in self._image(e).items():
-                    if g + shift > trunc:
-                        continue
-                    out = acc.setdefault(g + shift, {})
-                    for e2, (r2, i2) in image.items():
+                den_e, image = self._image(e)
+                if image and min(image) + shift <= trunc:
+                    parts.append((shift, re, im, den_e, image))
+                    den = lcm(den, den_e)
+        acc = {}
+        for shift, re, im, den_e, image in parts:
+            q = den // den_e
+            re, im = re * q, im * q
+            for g, items in image.items():
+                if g + shift > trunc:
+                    continue
+                out = acc.setdefault(g + shift, {})
+                if im:
+                    for e2, r2, i2 in items:
                         _acc_add(out, e2,
                                  re * r2 - im * i2, re * i2 + im * r2)
-        return WeylElement._from_acc(self.ctx, acc)
+                else:
+                    for e2, r2, i2 in items:
+                        _acc_add(out, e2, re * r2, re * i2)
+        return _from_numerators(self.ctx, den_a * den, acc)
 
     def __repr__(self):
         ims = ", ".join(
@@ -138,12 +169,29 @@ class _StarRecursionMap:
         return f"<{self._kind.capitalize()} {self.ctx}{scale} [{ims}]>"
 
 
+def _reduced(den, acc):
+    """An integer accumulator over den in numerator form, the gcd of den
+    and every numerator divided out, so that denominators do not grow
+    down the recursion; zero entries and empty grades are dropped."""
+    g = den
+    for terms in acc.values():
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+    groups = {}
+    for grade, terms in acc.items():
+        items = [(e, re // g, im // g) for e, (re, im) in terms.items()
+                 if re or im]
+        if items:
+            groups[grade] = items
+    return den // g, groups
+
+
 class AutomorphismData(_StarRecursionMap):
     """Generator images plus the hbar scale factor; apply() is memoized."""
 
     __slots__ = ()
     _kind = "automorphism"
-    _one = QONE
+    _one = 1
 
     def __init__(self, ctx, images, hbar_scale=G_ONE):
         c = _coerce_gaussian(hbar_scale)
@@ -155,10 +203,10 @@ class AutomorphismData(_StarRecursionMap):
     def hbar_scale(self):
         return self._c
 
-    def _product(self, k, beta):
+    def _product(self, unit, beta):
         # phi(z_k) o phi(z^beta)
         ctx = self.ctx
-        return _moyal_raw(self.images[k]._raw, self._image(beta),
+        return _moyal_raw(self._image(unit), self._image(beta),
                           ctx.dim, ctx.trunc, 0)
 
 
@@ -324,20 +372,25 @@ class DerivationData(_StarRecursionMap):
 
     __slots__ = ()
     _kind = "derivation"
-    _one = QZERO
+    _one = 0
 
     def __init__(self, ctx, images):
         super().__init__(ctx, images, G_ONE)
 
-    def _product(self, k, beta):
-        # D(z_k) o z^beta + z_k o D(z^beta)
+    def _product(self, unit, beta):
+        # D(z_k) o z^beta + z_k o D(z^beta), over the lcm of their dens
         ctx = self.ctx
         d, trunc = ctx.dim, ctx.trunc
-        raw = _moyal_raw(self.images[k]._raw,
-                         {sum(beta): {beta: (QONE, QZERO)}}, d, trunc, 0)
-        zk = WeylElement.variable(ctx, k)._raw
-        _acc_merge(raw, _moyal_raw(zk, self._image(beta), d, trunc, 0))
-        return raw
+        den_a, acc_a = _moyal_raw(self._image(unit),
+                                  (1, {sum(beta): [(beta, 1, 0)]}),
+                                  d, trunc, 0)
+        den_b, acc_b = _moyal_raw((1, {1: [(unit, 1, 0)]}),
+                                  self._image(beta), d, trunc, 0)
+        den = lcm(den_a, den_b)
+        acc = {}
+        _acc_merge(acc, acc_a, den // den_a)
+        _acc_merge(acc, acc_b, den // den_b)
+        return den, acc
 
 
 def _require_kernel_images(ctx, images, what):

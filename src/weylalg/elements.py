@@ -16,17 +16,22 @@ invariants hold for every element:
   - no grade is empty, and no entry is zero, so term-map equality is
     element equality;
   - a grade's dict is never mutated once an element holds it, because
-    elements (hbar_shift) and memos share them.
+    elements share them (hbar_shift).
 
-The hot loops in the star-product and automorphism modules work on these
-raw maps directly, a whole grade at a time: a product of grades m and n
-fills grade m + n. They sum into an accumulator, a graded term map of
-fresh dicts, with _acc_add or _acc_merge and turn it into an element with
-WeylElement._from_acc, which drops the entries that cancelled to zero and
-the grades left empty. The kernels that run on integers, the Moyal
-product and the substitution pullback, write their inputs over one
-common denominator with _gaussian_numerators and divide once per output
-term.
+The hot loops in the star-product and automorphism modules work a whole
+grade at a time: a product of grades m and n fills grade m + n. They sum
+into an accumulator, a graded term map of fresh dicts, with _acc_add or
+_acc_merge. Three of them run on integers: the Moyal kernel, the
+star-recursion memo with the apply that reads it, and the substitution
+pullback. Their operands are in numerator form, Gaussian-integer
+numerators over one common denominator as _gaussian_numerators writes
+them, and each sums into an integer accumulator that is divided once
+per output part, by _from_numerators or, in pullback, while its packed
+keys are unpacked. The memo keeps its images in numerator form, in
+lists of its own that share no dict with any element. The commutative
+product, the log's merges and the sums of the exp and inner series run
+on Fractions and end in WeylElement._from_acc. Both constructors drop
+the entries that cancelled to zero and the grades left empty.
 The public surface exposes Monomial keys and GaussianRational coefficients.
 
 Variable indexing is 0-based: index k < d is x_{k+1}, index k >= d is
@@ -36,6 +41,7 @@ xi_{k-d+1} (printed as p{k-d+1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -352,6 +358,20 @@ def _gaussian_numerators(groups):
                  im.numerator * (den // im.denominator))
                 for key, (re, im) in terms.items()]
         for label, terms in groups.items()}
+
+
+def _from_numerators(ctx, den, acc):
+    """Element of an integer accumulator over den, the inverse of
+    _gaussian_numerators: one Fraction per nonzero part, and the entries
+    that cancelled and the grades left empty dropped."""
+    raw = {}
+    for g, terms in acc.items():
+        terms = {e: (Fraction(re, den) if re else QZERO,
+                     Fraction(im, den) if im else QZERO)
+                 for e, (re, im) in terms.items() if re or im}
+        if terms:
+            raw[g] = terms
+    return WeylElement._from_raw(ctx, raw)
 
 
 def _cmul_raw(raw_a, raw_b, cutoff):

@@ -39,17 +39,20 @@ of a grade-m times grade-n product has grade m+n, so the kernel works a
 grade pair at a time, fills grade m+n of the result, and truncation
 prunes whole grade pairs, never single combinations.
 
-The arithmetic runs on integers. Only the grades of an operand that
-meet some grade of the other within the cutoff take part. Each
-operand is written once as Gaussian-integer numerators over the lcm
-D_a (D_b) of its denominators, and every weight is scaled by
-L = jtop! 2^jtop to the integer num * (L / (k! l! 2^j)): k! l! divides
-j!, which divides jtop!. An order j takes j from the z-degree of both
-factors, which a term's grade bounds, and needs 2j <= cutoff, so jtop is
-the least of cutoff // 2 and the two operands' top grades; a huge
-truncation leaves L small when the operands are small. The accumulated
-numerators are divided once per output key, by D_a * D_b * L, the only
-place the kernel makes a Fraction.
+The arithmetic runs on integers. Operands arrive in numerator form,
+Gaussian-integer numerators over one denominator D_a (D_b), grouped by
+grade: moyal, commutator and scaled_bracket write their elements so,
+and the star-recursion memo keeps its images so. Only the grades of an
+operand that meet some grade of the other within the cutoff take part.
+Every weight is scaled by L = jtop! 2^jtop to the integer
+num * (L / (k! l! 2^j)): k! l! divides j!, which divides jtop!. An
+order j takes j from the z-degree of both factors, which a term's grade
+bounds, and needs 2j <= cutoff, so jtop is the least of cutoff // 2 and
+the two operands' top grades; a huge truncation leaves L small when the
+operands are small. The kernel makes no Fraction: it returns the
+accumulated numerators over D_a * D_b * L, and the public products
+divide once per output part (elements._from_numerators), while the memo
+divides out only their gcd.
 
 Every term pair takes the same rule. The orders j of a pair are bounded by
 jmax = sum_p (kmax_p + lmax_p), and the rule stops after the j = 0 term
@@ -60,53 +63,51 @@ z_k o b, the step of the star recursion, costs one product and one key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, perm
 
 from .elements import (
-    WeylElement, _acc_add, _gaussian_numerators, _require_same_ctx,
-    _require_same_dim)
+    WeylElement, _acc_add, _from_numerators, _gaussian_numerators,
+    _require_same_ctx, _require_same_dim)
 from .errors import InternalError
-from .scalars import QZERO
 
 
-def _moyal_raw(raw_a, raw_b, d, cutoff, parity):
-    """Star product of graded term maps, keeping grades <= cutoff.
+def _moyal_raw(num_a, num_b, d, cutoff, parity):
+    """Star product of operands in numerator form, keeping grades <= cutoff.
 
+    Each operand is (den, {grade: [(exps, re, im)]}), Gaussian-integer
+    numerators over one denominator as _gaussian_numerators writes them.
     parity None keeps every order j of the series, 0 only the even j (the
     symmetric product (a*b + b*a)/2) and 1 only the odd j ((a*b - b*a)/2).
-    Returns the accumulator, zero entries and empty grades included.
+    Returns (den, acc), acc an integer accumulator over den, zero entries
+    and empty grades included.
     """
+    den_a, ints_a = num_a
+    den_b, ints_b = num_b
     # the grades that meet some grade of the other operand within the
     # cutoff; either both operands keep some or neither does
-    if not raw_a or not raw_b:
-        return {}
-    top_a, top_b = cutoff - min(raw_b), cutoff - min(raw_a)
-    live_a = {g: terms for g, terms in raw_a.items() if g <= top_a}
+    if not ints_a or not ints_b:
+        return 1, {}
+    top_a, top_b = cutoff - min(ints_b), cutoff - min(ints_a)
+    live_a = [g for g in ints_a if g <= top_a]
     if not live_a:
-        return {}
-    live_b = {g: terms for g, terms in raw_b.items() if g <= top_b}
-    den_a, ints_a = _gaussian_numerators(live_a)
-    den_b, ints_b = _gaussian_numerators(live_b)
+        return 1, {}
+    live_b = [g for g in ints_b if g <= top_b]
     # L = jtop! 2^jtop, jtop bounded by the operands (module docstring)
     jtop = min(cutoff // 2, max(live_a), max(live_b))
     scale = factorial(jtop) << jtop
     acc = {}
-    for ga, items_a in ints_a.items():
-        for gb, items_b in ints_b.items():
+    for ga in live_a:
+        items_a = ints_a[ga]
+        for gb in live_b:
             if ga + gb > cutoff:
                 continue
             out = acc.setdefault(ga + gb, {})
             for e1, re1, im1 in items_a:
-                for e2, re2, im2 in items_b:
+                for e2, re2, im2 in ints_b[gb]:
                     _moyal_pair(out, d, e1, e2, re1 * re2 - im1 * im2,
                                 re1 * im2 + im1 * re2, parity, scale)
-    den = den_a * den_b * scale
-    return {g: {e: (Fraction(re, den) if re else QZERO,
-                    Fraction(im, den) if im else QZERO)
-                for e, (re, im) in out.items()}
-            for g, out in acc.items()}
+    return den_a * den_b * scale, acc
 
 
 def _moyal_pair(out, d, e1, e2, pre, pim, parity, scale):
@@ -170,12 +171,16 @@ def _moyal_pair(out, d, e1, e2, pre, pim, parity, scale):
         _acc_add(out, tuple(es), tre * w, tim * w)
 
 
+def _numerator_product(a, b, cutoff, parity):
+    return _moyal_raw(_gaussian_numerators(a._raw),
+                      _gaussian_numerators(b._raw), a.ctx.dim, cutoff, parity)
+
+
 def moyal(a, b):
     """Star product in the shared context."""
     _require_same_ctx(a, b)
-    return WeylElement._from_acc(
-        a.ctx,
-        _moyal_raw(a._raw, b._raw, a.ctx.dim, a.ctx.trunc, None))
+    return _from_numerators(
+        a.ctx, *_numerator_product(a, b, a.ctx.trunc, None))
 
 
 def poisson(a, b):
@@ -195,8 +200,8 @@ def commutator(a, b):
     twice the odd-j terms of a * b: one kernel pass.
     """
     _require_same_ctx(a, b)
-    acc = _moyal_raw(a._raw, b._raw, a.ctx.dim, a.ctx.trunc, 1)
-    return WeylElement._from_acc(a.ctx, {
+    den, acc = _numerator_product(a, b, a.ctx.trunc, 1)
+    return _from_numerators(a.ctx, den, {
         g: {e: (re + re, im + im) for e, (re, im) in terms.items()}
         for g, terms in acc.items()})
 
@@ -208,8 +213,8 @@ def scaled_bracket(a, b):
     # the bracket peeks two grades above the quotient; each term of the
     # commutator, twice the odd orders, is multiplied by i and divided by
     # one power of hbar, which lowers its grade by 2
-    acc = _moyal_raw(a._raw, b._raw, ctx.dim, ctx.trunc + 2, 1)
-    out = WeylElement._from_acc(ctx, {
+    den, acc = _numerator_product(a, b, ctx.trunc + 2, 1)
+    out = _from_numerators(ctx, den, {
         g - 2: {e: (-im - im, re + re) for e, (re, im) in terms.items()}
         for g, terms in acc.items()})
     if any(sum(e) > g for g, terms in out._raw.items() for e in terms):

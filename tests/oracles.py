@@ -1,13 +1,21 @@
 """Independent reference implementations used to check the engine.
 
-Everything here goes through sympy with a completely different algorithm
-shape: the star product is computed by iterating the bidifferential
-operator on (left, right) expression pairs and truncating a sympy Poly by
-inspecting exponents. No code is shared with the package beyond the term
-conversion at the boundary.
+The star product goes through sympy with a completely different algorithm
+shape: it is computed by iterating the bidifferential operator on (left,
+right) expression pairs and truncating a sympy Poly by inspecting
+exponents. No code is shared with the package beyond the term conversion
+at the boundary.
+
+The reference apply of a star-recursion map runs on the package's public
+element arithmetic and its public moyal, which star_oracle checks, and
+shares none of the recursion's integer memo or accumulation.
 """
 
+from fractions import Fraction
+
 import sympy
+
+from weylalg import WeylElement, moyal
 
 HBAR = sympy.Symbol("hbar")
 
@@ -100,3 +108,42 @@ def poisson_oracle(a_expr, b_expr, dim, trunc):
 def assert_matches(engine_elem, oracle_expr):
     diff = sympy.expand(to_sympy(engine_elem) - oracle_expr)
     assert diff == 0, f"engine disagrees with oracle by {diff}"
+
+
+def apply_reference(images, a, c=1, derivation=False):
+    """The map fixed by generator images, extended by the star recursion.
+
+    z^alpha = z_k o z^beta with k the first variable of alpha and
+    u o v = (moyal(u, v) + moyal(v, u)) / 2. An automorphism maps 1 to 1
+    and z_k o z^beta to phi(z_k) o phi(z^beta); a derivation maps 1 to 0
+    and z_k o z^beta to D(z_k) o z^beta + z_k o D(z^beta). A term
+    hbar^h z^e goes to c^h hbar^h phi(z^e).
+    """
+    ctx = a.ctx
+    half = Fraction(1, 2)
+    memo = {}
+
+    def sym(u, v):
+        return (moyal(u, v) + moyal(v, u)).scale(half)
+
+    def image(e):
+        if e not in memo:
+            if not any(e):
+                memo[e] = (WeylElement.zero(ctx) if derivation
+                           else WeylElement.one(ctx))
+            else:
+                k = next(i for i, v in enumerate(e) if v)
+                beta = e[:k] + (e[k] - 1,) + e[k + 1:]
+                if derivation:
+                    memo[e] = (
+                        sym(images[k], WeylElement.monomial(ctx, 0, beta))
+                        + sym(WeylElement.variable(ctx, k), image(beta)))
+                else:
+                    memo[e] = sym(images[k], image(beta))
+        return memo[e]
+
+    out = WeylElement.zero(ctx)
+    for mono, coeff in a.terms().items():
+        out = out + image(mono.exps).hbar_shift(mono.hpow).scale(
+            coeff * c ** mono.hpow)
+    return out

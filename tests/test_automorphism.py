@@ -1,5 +1,7 @@
 """Automorphism application, verification, derivations, exp and log."""
 
+from fractions import Fraction
+
 import pytest
 
 from weylalg import (
@@ -12,6 +14,7 @@ from weylalg import (
     InnerGeneratorError,
     InvalidImageError,
     KernelPreconditionError,
+    SympMatrix,
     WeylElement,
     compose,
     exp_derivation,
@@ -22,12 +25,17 @@ from weylalg import (
     moyal,
     parse_element,
     pullback,
+    pullback_automorphism,
     scaled_bracket,
     verify_morphism,
 )
 from weylalg.elements import monomials_of_grade
-from weylalg.sampling import random_element, random_inner_generator, random_instance
+from weylalg.sampling import (
+    random_element, random_inner_generator, random_instance,
+    random_monomial_key)
 from weylalg.symplectic import random_symplectic_rng
+
+from oracles import apply_reference
 
 
 def _parse(text, ctx):
@@ -144,6 +152,78 @@ def test_apply_is_linear_and_memo_stable(rng, ctx2):
     first = phi.apply(a + b)
     assert first == phi.apply(a) + phi.apply(b)
     assert phi.apply(a + b) == first  # memoized second pass identical
+
+
+def _mixed_element(rng, ctx, terms, min_grade=0):
+    # coefficients over 3, 5 and 7, about half of them complex
+    def part():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6),
+                        rng.choice([3, 5, 7]))
+    return WeylElement(ctx, {
+        random_monomial_key(rng, ctx, min_grade, ctx.trunc):
+            GaussianRational(part(), part() if rng.random() < 0.5 else 0)
+        for _ in range(terms)})
+
+
+def _assert_canonical(el):
+    # no zero entry and no empty grade: equality compares the term maps,
+    # and rebuilding from the terms drops both
+    assert el == WeylElement(el.ctx, el.terms())
+
+
+@pytest.mark.parametrize("c", [GaussianRational(1), GaussianRational(2),
+                               GaussianRational(1, 1),
+                               GaussianRational("1/2", -2)])
+def test_apply_matches_reference(rng, c):
+    for d, trunc in ((1, 7), (2, 6)):
+        ctx = Context(d, trunc)
+        # images with a term at every other variable, so sums can cancel
+        w = _mixed_element(rng, ctx, 2, min_grade=2)
+        cancelling = [_x(ctx, k) + (w if k % 2 == 0 else -w)
+                      for k in range(ctx.nvars)]
+        mixed = [_mixed_element(rng, ctx, 3, min_grade=1)
+                 for _ in range(ctx.nvars)]
+        h = WeylElement.hbar(ctx)
+        top = trunc // 2
+        args = [
+            WeylElement.zero(ctx),
+            WeylElement.one(ctx),
+            # whole grades of the images cancel
+            _x(ctx, 0) + _x(ctx, 1),
+            (_x(ctx, 0) + _x(ctx, 1)) * h,
+            # a term that lands on the truncation, and terms whose image
+            # is shifted past it in part or in whole
+            WeylElement.hbar(ctx, top) * _x(ctx, 0) ** (trunc - 2 * top),
+            WeylElement.hbar(ctx, top - 1) * _x(ctx, 0),
+            h * _x(ctx, 1) ** (trunc - 2),
+        ] + [_mixed_element(rng, ctx, 4) for _ in range(4)]
+        maps = [(AutomorphismData(ctx, images, c), images, False)
+                for images in (cancelling, mixed)]
+        if c.is_one():
+            maps += [(DerivationData(ctx, images), images, True)
+                     for images in (cancelling, mixed)]
+        for phi, images, derivation in maps:
+            for a in args:
+                got = phi.apply(a)
+                assert got == apply_reference(images, a, c, derivation)
+                _assert_canonical(got)
+            assert phi.apply(args[0]).is_zero()
+            if derivation:
+                assert phi.apply(args[1]).is_zero()
+
+
+def test_memo_denominators_do_not_grow():
+    # each step of the recursion is a kernel call with L = 2; the memo
+    # divides the gcd back out, so the image of x1^8 under a matrix over 3
+    # keeps a denominator that divides 3^8
+    ctx = Context(1, 8)
+    third = Fraction(1, 3)
+    m = SympMatrix([[third, 2 * third], [third, 11 * third]])
+    phi = pullback_automorphism(m, ctx)
+    den, _image = phi._image((8, 0))
+    assert 3 ** 8 % den == 0
+    x8 = WeylElement.monomial(ctx, 0, (8, 0))
+    assert phi.apply(x8) == phi.images[0] ** 8
 
 
 def test_compose_is_pointwise_composition(rng, ctx2):

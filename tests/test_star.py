@@ -21,6 +21,7 @@ from weylalg import (
     poisson,
     scaled_bracket,
 )
+from weylalg.elements import _from_numerators, _gaussian_numerators
 from weylalg.sampling import random_element
 from weylalg.star import _moyal_raw
 
@@ -169,6 +170,13 @@ def test_scaled_bracket_mixed_truncations(ctx1):
     assert scaled_bracket(s_top, z) == _parse("-9*x1^8", ctx1)
 
 
+def _parity_half(a, b, cutoff, parity):
+    # the kernel on its own, its operands and result in numerator form
+    return _from_numerators(a.ctx, *_moyal_raw(
+        _gaussian_numerators(a._raw), _gaussian_numerators(b._raw),
+        a.ctx.dim, cutoff, parity))
+
+
 def test_commutator_is_difference_of_products(rng):
     # the one-pass kernel against its definition a * b - b * a, and each
     # parity half of the kernel against (a * b +- b * a)/2; bare variables
@@ -188,8 +196,7 @@ def test_commutator_is_difference_of_products(rng):
             ab, ba = moyal(a, b), moyal(b, a)
             assert commutator(a, b) == ab - ba
             for parity, want in ((0, ab + ba), (1, ab - ba)):
-                got = WeylElement._from_acc(ctx, _moyal_raw(
-                    a._raw, b._raw, d, ctx.trunc, parity))
+                got = _parity_half(a, b, ctx.trunc, parity)
                 assert got == want.scale(half)
 
 
@@ -252,8 +259,7 @@ def test_product_at_the_cutoff_matches_oracle(d, left, right):
     assert_matches(moyal(a, b), ab)
     assert_matches(moyal(b, a), ba)
     for parity, want in ((0, ab + ba), (1, ab - ba)):
-        got = WeylElement._from_acc(ctx, _moyal_raw(
-            a._raw, b._raw, d, 8, parity))
+        got = _parity_half(a, b, 8, parity)
         assert_matches(got, want / 2)
 
 
