@@ -104,53 +104,59 @@ def _position(text, idx):
             offset - text.rfind("\n", 0, offset))
 
 
-def _natural(digit_text, text, idx):
-    """int of an ASCII digit string; past Python's digit limit, a syntax error."""
+def _natural(digit_text):
+    """int of an ASCII digit string; past Python's digit limit, ValueError."""
     try:
         return int(digit_text)
     except ValueError:
-        raise ExprSyntaxError(
+        raise ValueError(
             f"number of {len(digit_text)} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()}", *_position(text, idx)) from None
+            f"{sys.get_int_max_str_digits()}") from None
 
 
-def _number(tok, text, idx):
-    """The Fraction of a literal token such as "3" or "3 / 4"."""
+def _number(tok):
+    """The Fraction of a literal token such as "3" or "3 / 4".
+
+    A bad literal raises ValueError with the message to report; the
+    caller knows where the token is.
+    """
     num, slash, den = tok.partition("/")
     if not slash:
-        return Fraction(_natural(tok, text, idx))
-    num = _natural(num.rstrip(" \t"), text, idx)
+        return Fraction(_natural(tok))
+    num = _natural(num.rstrip(" \t"))
     den = den.lstrip(" \t")
     if not den:
-        raise ExprSyntaxError("expected digits after '/' in rational literal",
-                              *_position(text, idx))
-    den = _natural(den, text, idx)
+        raise ValueError("expected digits after '/' in rational literal")
+    den = _natural(den)
     if not den:
-        raise ExprSyntaxError("zero denominator", *_position(text, idx))
+        raise ValueError("zero denominator")
     return Fraction(num, den)
 
 
 def _tokenize(text):
     """The token texts of text, then _END, and the literals' values.
 
-    values[k] is the Fraction of token k when it is a literal, else None.
-    Positions are found again from a token's index, for errors only.
+    A token's validity and value depend on its text alone, so each
+    distinct text is checked, and a literal evaluated, once, in the order
+    of first occurrence: the first bad distinct text is the first bad
+    token, and tokens.index finds its position for the message. numbers
+    maps each literal text to its Fraction.
     """
     tokens = _TOKEN.findall(text, 0, _token_end(text))
-    values = [None] * (len(tokens) + 1)
-    numbers = {}        # literal text -> Fraction; exponents repeat a lot
-    for idx, tok in enumerate(tokens):
+    numbers = {}
+    for tok in dict.fromkeys(tokens):
         c = tok[0]
         if c in _DIGITS:
-            q = numbers.get(tok)
-            if q is None:
-                q = numbers[tok] = _number(tok, text, idx)
-            values[idx] = q
+            try:
+                numbers[tok] = _number(tok)
+            except ValueError as exc:
+                raise ExprSyntaxError(
+                    str(exc), *_position(text, tokens.index(tok))) from None
         elif c not in _NAME_START and c not in "+-*^()":
             raise ExprSyntaxError(f"unexpected character {c!r}",
-                                  *_position(text, idx))
+                                  *_position(text, tokens.index(tok)))
     tokens.append(_END)
-    return tokens, values
+    return tokens, numbers
 
 
 # recursive-descent parser, evaluating on the fly
@@ -163,16 +169,18 @@ class _Parser:
 
     Every atom of a product, a parenthesised constant included, folds
     into one monomial: a coefficient cr + i*ci, an hbar power and an
-    exponent list. A non-constant parenthesised factor is raised to its
-    power and set aside; when the product ends, the set-aside factors
-    are multiplied into the finished monomial. The product is
-    commutative and grades only grow along it, so truncating once at
-    the end equals truncating at every step.
+    exponent list. A literal's value is looked up by its text in the
+    tokenizer's dict, and a parenthesised lone literal such as (854/3)
+    folds as that literal, with no accumulator. A non-constant
+    parenthesised factor is raised to its power and set aside; when the
+    product ends, the set-aside factors are multiplied into the finished
+    monomial. The product is commutative and grades only grow along it,
+    so truncating once at the end equals truncating at every step.
     """
 
     def __init__(self, text, tokens, ctx):
         self.text = text
-        self.tokens, self.values = tokens
+        self.tokens, self.numbers = tokens
         self.pos = 0
         self.ctx = ctx
         self.depth = 0
@@ -210,7 +218,7 @@ class _Parser:
 
     def product(self, acc, negate):
         """Sums a product of powers, negated if asked, into acc."""
-        tokens, names = self.tokens, self.names
+        tokens, names, numbers = self.tokens, self.names, self.numbers
         cr, ci = QONE, QZERO
         hpow = 0
         exps = [0] * self.ctx.nvars
@@ -224,22 +232,21 @@ class _Parser:
                 k = names.get(tok)
                 if k is None:
                     k = self.variable(pos)
-                n = self.exponent()
-                n = 1 if n is None else n
+                n = self.exponent() if tokens[self.pos] == "^" else 1
                 if k == _HBAR:
                     hpow += n
                 else:
                     exps[k] += n
             else:
                 if c in _DIGITS:
-                    g = self.values[pos], QZERO
+                    g = numbers[tok], QZERO
                 elif tok == "i":
                     g = G_I.re, G_I.im
                 elif tok == "(":
                     g = self.group(pos)
                 else:
                     self.err(f"expected a value, found {_kind(tok)!r}", pos)
-                n = self.exponent()
+                n = self.exponent() if tokens[self.pos] == "^" else None
                 if type(g) is not tuple:    # a non-constant group
                     groups.append(g if n is None else g ** n)
                 else:
@@ -258,7 +265,10 @@ class _Parser:
         if not (cr or ci) or grade > self.ctx.trunc:
             return
         if negate:
-            cr, ci = -cr, -ci
+            if cr:
+                cr = -cr
+            if ci:
+                ci = -ci
         exps = tuple(exps)
         if not groups:
             _acc_add(acc.setdefault(grade, {}), exps, cr, ci)
@@ -269,12 +279,9 @@ class _Parser:
         _acc_merge(acc, e._raw)
 
     def exponent(self):
-        """The natural after a "^" at the current token, or None."""
-        pos = self.pos
-        if self.tokens[pos] != "^":
-            return None
-        pos += 1
-        q = self.values[pos]
+        """The natural after the "^" at the current token."""
+        pos = self.pos + 1
+        q = self.numbers.get(self.tokens[pos])
         if q is None or q.denominator != 1:
             self.err("exponent must be a natural number", pos)
         n = q.numerator
@@ -289,7 +296,10 @@ class _Parser:
         name = self.tokens[pos]
         if len(name) >= 2 and name[0] in "xp" and name[1:].isdigit():
             dim = self.ctx.dim
-            idx = _natural(name[1:], self.text, pos)
+            try:
+                idx = _natural(name[1:])
+            except ValueError as exc:
+                self.err(str(exc), pos)
             if not 1 <= idx <= dim:
                 self.err(f"variable {name!r} out of range for dimension {dim}",
                          pos, UnknownVariableError)
@@ -302,9 +312,14 @@ class _Parser:
 
         Returns its (re, im) when it is a constant, else the element.
         """
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        if self.depth == MAX_NESTING:
             self.err(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        tokens = self.tokens
+        q = self.numbers.get(tokens[pos + 1])
+        if q is not None and tokens[pos + 2] == ")":     # a lone literal
+            self.pos = pos + 3
+            return q, QZERO
+        self.depth += 1
         acc = {}
         self.expr(acc)
         closing = self.pos

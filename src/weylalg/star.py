@@ -57,8 +57,13 @@ divides out only their gcd.
 Every term pair takes the same rule. The orders j of a pair are bounded by
 jmax = sum_p (kmax_p + lmax_p), and the rule stops after the j = 0 term
 when no order of the kept parity can occur: jmax = 0, or only even orders
-kept and jmax <= 1. A bare variable z_k has jmax <= 1 against anything, so
-z_k o b, the step of the star recursion, costs one product and one key.
+kept and jmax <= 1. The same stop is first tested once per grade pair: a
+term of grade g has z-degree at most g, so jmax <= min(ga, gb). When that
+bound already stops the rule, min(ga, gb) = 0, or 1 with only even orders
+kept, the grade pair holds the j = 0 products alone and is summed as one
+integer product per term pair; with only odd orders kept and a grade-0
+side it holds nothing. So z_k o b, the step of the star recursion with a
+linear image on the left, costs one product and one key per term.
 """
 
 from __future__ import annotations
@@ -102,9 +107,22 @@ def _moyal_raw(num_a, num_b, d, cutoff, parity):
         for gb in live_b:
             if ga + gb > cutoff:
                 continue
+            # jmax <= min(ga, gb): the pair rule's stop, once per grade pair
+            low = ga if ga < gb else gb
+            settled = low == 0 or (low == 1 and parity == 0)
+            if settled and parity == 1:
+                continue
             out = acc.setdefault(ga + gb, {})
+            items_b = ints_b[gb]
+            if settled:
+                for e1, re1, im1 in items_a:
+                    re1, im1 = re1 * scale, im1 * scale
+                    for e2, re2, im2 in items_b:
+                        _acc_add(out, tuple(map(int.__add__, e1, e2)),
+                                 re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+                continue
             for e1, re1, im1 in items_a:
-                for e2, re2, im2 in ints_b[gb]:
+                for e2, re2, im2 in items_b:
                     _moyal_pair(out, d, e1, e2, re1 * re2 - im1 * im2,
                                 re1 * im2 + im1 * re2, parity, scale)
     return den_a * den_b * scale, acc

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import weylalg.exprio as exprio_module
 from weylalg import (
     AutomorphismData,
     Context,
@@ -357,6 +358,33 @@ def test_c09_kernel_exactness(instance_corpus, capsys):
     report(capsys, 9, "kernel-exactness", ok,
            f"150 instances ({identity_cases} with identity part), "
            f"{pullbacks} pure pullbacks, {bad} violations")
+
+
+def test_c08_largest_record_evaluates_each_literal_once(instance_corpus,
+                                                        monkeypatch):
+    # a cost guard beside the criteria: parsing an image of the corpus's
+    # largest record evaluates each distinct literal text once
+    phi = max((item[1] for item in instance_corpus),
+              key=lambda phi: sum(map(len, phi.images)))
+    texts = json.loads(exprio_module.dumps_record(
+        exprio_module.automorphism_record(phi)))["payload"]["images"]
+    real_number = exprio_module._number
+    evaluated = []
+
+    def counted(tok):
+        evaluated.append(tok)
+        return real_number(tok)
+
+    monkeypatch.setattr(exprio_module, "_number", counted)
+    repeated = 0
+    for text, image in zip(texts, phi.images):
+        literals = [t for t in exprio_module._TOKEN.findall(text)
+                    if t[0].isdigit()]
+        evaluated.clear()
+        assert parse_element(text, phi.ctx) == image
+        assert evaluated == list(dict.fromkeys(literals))
+        repeated += len(literals) - len(evaluated)
+    assert repeated > 0
 
 
 def test_c10_golden_hand_examples(capsys):

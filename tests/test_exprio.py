@@ -63,6 +63,14 @@ from weylalg.sampling import random_element, random_instance
     pytest.param("-" * 1201 + "x1*p1", "-x1*p1", id="1201-unary-minuses"),
     pytest.param("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "x1",
                  id="nesting-at-bound"),
+    # a parenthesised lone literal folds as the literal
+    pytest.param("(" * MAX_NESTING + "854/3" + ")" * MAX_NESTING, "854/3",
+                 id="literal-nesting-at-bound"),
+    ("(3/4)^2*x1", "(9/16)*x1"),
+    ("((3/4))*x1", "(3/4)*x1"),
+    ("(0)*x1 + p1", "p1"),
+    ("(2)*(3)", "6"),
+    ("(-3/4)*x1", "-(3/4)*x1"),
     ("x1^1000000", "0"),
     ("h^5", "0"),
     ("x1 - x1", "0"),
@@ -129,6 +137,16 @@ def test_parse_truncates(ctx1):
     ("3*y", UnknownVariableError, (1, 3)),
     pytest.param("x1 +" + " \n" * 10000, ExprSyntaxError, (10001, 1),
                  id="end-after-trailing-whitespace"),
+    # the first bad token wins, and a repeated one is named where it first
+    # occurs
+    ("x1 $ 1/0", ExprSyntaxError, (1, 4)),
+    ("1/0 + x1 $", ExprSyntaxError, (1, 1)),
+    ("x1 + 1/0 + 1/0", ExprSyntaxError, (1, 6)),
+    ("(3/4", ExprSyntaxError, (1, 5)),
+    ("(3/4)x1", ExprSyntaxError, (1, 6)),
+    pytest.param("(" * (MAX_NESTING + 1) + "854/3" + ")" * (MAX_NESTING + 1),
+                 ExprSyntaxError, (1, MAX_NESTING + 1),
+                 id="literal-nesting-past-bound"),
 ])
 def test_parse_errors_with_position(text, exc, pos, ctx2):
     with pytest.raises(exc) as info:

@@ -8,6 +8,7 @@ import pytest
 
 import weylalg.automorphism as automorphism_module
 import weylalg.factorization as factorization_module
+import weylalg.star as star_module
 import weylalg.symplectic as symplectic_module
 from weylalg import (
     MIN_TRUNC,
@@ -272,6 +273,32 @@ def test_verify_runs_no_substitution(monkeypatch):
         patch.setattr(factorization_module, "pullback", no_pullback)
         report = verify_factorization(phi, m, s)
     assert report.passed
+
+
+def test_verify_compose_takes_no_pair_rule(monkeypatch):
+    # every left factor of verify's recomposition is a linear image, so
+    # the kernel settles each of its grade pairs with the j = 0 product
+    # and never reaches the per-pair rule
+    rng = random.Random(125)
+    calls = []
+    real_pair = star_module._moyal_pair
+
+    def counted(*args):
+        calls.append(args)
+        return real_pair(*args)
+
+    for d in (1, 2, 3):
+        ctx = Context(d, 8)
+        for i in range(2):
+            phi, m, s = random_instance(rng, ctx, steps=8, generator_terms=10,
+                                        complex_scalars=(i == 0))
+            linear = pullback_automorphism(m, ctx)
+            inner = inner_automorphism(s, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(star_module, "_moyal_pair", counted)
+                got = compose(linear, inner)
+            assert got.images == phi.images
+    assert not calls
 
 
 def test_top_grade_rejections_are_the_only_morphisms_rejected():

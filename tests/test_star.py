@@ -179,25 +179,52 @@ def _parity_half(a, b, cutoff, parity):
 
 def test_commutator_is_difference_of_products(rng):
     # the one-pass kernel against its definition a * b - b * a, and each
-    # parity half of the kernel against (a * b +- b * a)/2; bare variables
-    # and linear forms on the left meet the order bound that ends a pair
-    # after its j = 0 term
+    # parity half of the kernel against (a * b +- b * a)/2. Bare variables
+    # and linear forms meet the order bound that ends a pair after its
+    # j = 0 term; constants, linear forms and mixed grade-0/1/>=2
+    # operands, on either side, meet the grade pairs that the kernel
+    # settles at once (a grade-0 side, or a grade-1 side in the even half)
     half = Fraction(1, 2)
     for d in (1, 2):
         ctx = Context(d, 8)
-        lefts = [WeylElement.variable(ctx, k) for k in range(ctx.nvars)]
-        lefts += [random_element(rng, ctx, 3, min_grade=1, max_grade=1,
-                                 complex_scalars=True, allow_h=False)
-                  for _ in range(2)]
-        lefts += [random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
-                  for _ in range(8)]
-        for a in lefts:
-            b = random_element(rng, ctx, 4, max_grade=6, complex_scalars=True)
+
+        def draw(terms, lo, hi):
+            return random_element(rng, ctx, terms, min_grade=lo, max_grade=hi,
+                                  complex_scalars=True)
+
+        constants = [WeylElement.scalar(ctx, GaussianRational("2/3", "-1/5")),
+                     draw(1, 0, 0), draw(2, 0, 0)]
+        linear = [WeylElement.variable(ctx, k) for k in range(ctx.nvars)]
+        linear += [random_element(rng, ctx, 3, min_grade=1, max_grade=1,
+                                  complex_scalars=True, allow_h=False)
+                   for _ in range(2)]
+        mixed = [draw(1, 0, 0) + draw(2, 1, 1) + draw(3, 2, 6)
+                 for _ in range(3)]
+        low = constants + linear + mixed
+        pairs = [(a, draw(4, 0, 6)) for a in low]
+        pairs += [(draw(4, 0, 6), b) for b in low]
+        pairs += [(a, b) for a in low[::2] for b in low[1::2]]
+        pairs += [(draw(4, 0, 6), draw(4, 0, 6)) for _ in range(8)]
+        for a, b in pairs:
             ab, ba = moyal(a, b), moyal(b, a)
             assert commutator(a, b) == ab - ba
-            for parity, want in ((0, ab + ba), (1, ab - ba)):
-                got = _parity_half(a, b, ctx.trunc, parity)
-                assert got == want.scale(half)
+            for parity, want in ((None, ab), (0, (ab + ba).scale(half)),
+                                 (1, (ab - ba).scale(half))):
+                assert _parity_half(a, b, ctx.trunc, parity) == want
+        # moyal itself on the settled grade pairs, against the oracle
+        for a, b in [(low[0], mixed[0]), (mixed[1], low[1]),
+                     (linear[-1], mixed[2]), (mixed[2], linear[-1])]:
+            assert_matches(moyal(a, b),
+                           star_oracle(to_sympy(a), to_sympy(b), d, 8))
+        # a constant commutes, and drops out of a bracket
+        b = draw(4, 0, 6)
+        for c in constants:
+            assert commutator(c, b).is_zero() and commutator(b, c).is_zero()
+            assert scaled_bracket(c, b).is_zero()
+            assert scaled_bracket(b, c).is_zero()
+        for m, c in zip(mixed, constants):
+            assert scaled_bracket(m + c, b) == scaled_bracket(m, b)
+            assert scaled_bracket(b, m + c) == scaled_bracket(b, m)
 
 
 def test_scaled_bracket_is_lifted_commutator(rng):
