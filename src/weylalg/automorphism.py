@@ -20,14 +20,14 @@ Leibniz rule D(z_k) o z^beta + z_k o D(z^beta) for a derivation. The scale
 c enters only where apply maps hbar to c*hbar. Images are memoized per
 exponent tuple, so repeated applications (composition, logarithms,
 verification sweeps) stay cheap. The memo holds each image in numerator
-form, Gaussian-integer numerators over one denominator grouped by grade,
-which the Moyal kernel takes as they are; each new image is reduced by
-the gcd of its denominator and numerators, so that denominators do not
-grow down the recursion. apply writes its argument, each hbar^h already
-scaled by c^h, over one denominator, scales every image it reaches to
-the lcm of their denominators and sums plain integers, a whole grade at
-a time: hbar^h z^e maps to hbar^h phi(z^e), each grade of phi(z^e) moved
-up by 2h. It makes one Fraction per output part.
+form, (den, {grade: {exps: (re, im)}}), which the Moyal kernel takes as
+it is; elements._reduced puts each new image in lowest terms, so that
+denominators do not grow down the recursion. apply writes its argument,
+each hbar^h already scaled by c^h, over one denominator, scales every
+image it reaches to the lcm of their denominators and sums plain
+integers, a whole grade at a time: hbar^h z^e maps to hbar^h phi(z^e),
+each grade of phi(z^e) moved up by 2h. It makes one Fraction per output
+part.
 
 exp/log convert between derivations with images in X_2 and automorphisms
 with identity linear part. exp, and inner(S) = exp((i/hbar) ad_S), are
@@ -42,11 +42,11 @@ grows a table of graded powers [D^m(z_k)]_g by one grade per step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .elements import (
     Context, WeylElement, _acc_add, _acc_merge, _from_numerators,
-    _gaussian_numerators, monomials_of_grade)
+    _gaussian_numerators, _reduced, monomials_of_grade)
 from .errors import (
     AutomorphismError,
     ContextError,
@@ -101,14 +101,14 @@ class _StarRecursionMap:
 
     def _image(self, e):
         """Image of the plain monomial z^e in numerator form,
-        (den, {grade: [(exps, re, im)]}), reduced by its gcd."""
+        (den, {grade: {exps: (re, im)}}), in lowest terms."""
         memo = self._memo
         num = memo.get(e)
         if num is not None:
             return num
         deg = sum(e)
         if deg == 0:
-            num = (1, {0: [(e, 1, 0)]} if self._one else {})
+            num = (1, {0: {e: (1, 0)}} if self._one else {})
         elif deg == 1:
             num = _gaussian_numerators(self.images[e.index(1)]._raw)
         else:
@@ -138,7 +138,7 @@ class _StarRecursionMap:
         parts = []
         den = 1
         for ga, items in groups.items():
-            for e, re, im in items:
+            for e, (re, im) in items.items():
                 shift = ga - sum(e)     # 2h, h the term's hbar power
                 den_e, image = self._image(e)
                 if image and min(image) + shift <= trunc:
@@ -153,11 +153,11 @@ class _StarRecursionMap:
                     continue
                 out = acc.setdefault(g + shift, {})
                 if im:
-                    for e2, r2, i2 in items:
+                    for e2, (r2, i2) in items.items():
                         _acc_add(out, e2,
                                  re * r2 - im * i2, re * i2 + im * r2)
                 else:
-                    for e2, r2, i2 in items:
+                    for e2, (r2, i2) in items.items():
                         _acc_add(out, e2, re * r2, re * i2)
         return _from_numerators(self.ctx, den_a * den, acc)
 
@@ -167,23 +167,6 @@ class _StarRecursionMap:
             for k, im in enumerate(self.images))
         scale = "" if self._c.is_one() else f" c={self._c}"
         return f"<{self._kind.capitalize()} {self.ctx}{scale} [{ims}]>"
-
-
-def _reduced(den, acc):
-    """An integer accumulator over den in numerator form, the gcd of den
-    and every numerator divided out, so that denominators do not grow
-    down the recursion; zero entries and empty grades are dropped."""
-    g = den
-    for terms in acc.values():
-        for re, im in terms.values():
-            g = gcd(g, re, im)
-    groups = {}
-    for grade, terms in acc.items():
-        items = [(e, re // g, im // g) for e, (re, im) in terms.items()
-                 if re or im]
-        if items:
-            groups[grade] = items
-    return den // g, groups
 
 
 class AutomorphismData(_StarRecursionMap):
@@ -382,9 +365,9 @@ class DerivationData(_StarRecursionMap):
         ctx = self.ctx
         d, trunc = ctx.dim, ctx.trunc
         den_a, acc_a = _moyal_raw(self._image(unit),
-                                  (1, {sum(beta): [(beta, 1, 0)]}),
+                                  (1, {sum(beta): {beta: (1, 0)}}),
                                   d, trunc, 0)
-        den_b, acc_b = _moyal_raw((1, {1: [(unit, 1, 0)]}),
+        den_b, acc_b = _moyal_raw((1, {1: {unit: (1, 0)}}),
                                   self._image(beta), d, trunc, 0)
         den = lcm(den_a, den_b)
         acc = {}

@@ -125,11 +125,15 @@ def _build_parser(max_grade_default):
 
 
 def _emit(args, record, text):
-    """Text to stdout; optionally the record to --out with a stderr note."""
-    sys.stdout.write(text + "\n")
+    """Text to stdout; optionally the record to --out with a stderr note.
+
+    The record is saved first, so a path that cannot be written fails
+    before anything reaches stdout.
+    """
     if getattr(args, "out", None):
         save_record(record, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_binary(args, op):

@@ -23,12 +23,15 @@ grade at a time: a product of grades m and n fills grade m + n. They sum
 into an accumulator, a graded term map of fresh dicts, with _acc_add or
 _acc_merge. Three of them run on integers: the Moyal kernel, the
 star-recursion memo with the apply that reads it, and the substitution
-pullback. Their operands are in numerator form, Gaussian-integer
-numerators over one common denominator as _gaussian_numerators writes
-them, and each sums into an integer accumulator that is divided once
-per output part, by _from_numerators or, in pullback, while its packed
-keys are unpacked. The memo keeps its images in numerator form, in
-lists of its own that share no dict with any element. The commutative
+pullback. Their operands are in numerator form, (den, {label: {key:
+(re, im)}}): Gaussian-integer numerators over one denominator, nested as
+in a graded term map. _gaussian_numerators writes it from term maps and
+_reduced from an integer accumulator, dividing out the gcd (the
+package's one reduction), both canonical: den > 0, gcd(den, every
+numerator) = 1, no zero entry and no empty label. Each engine sums into
+an integer accumulator divided once per output part, by
+_from_numerators or, in pullback, as its packed keys are unpacked. The
+memo's images share no dict with any element. The commutative
 product, the log's merges and the sums of the exp and inner series run
 on Fractions and end in WeylElement._from_acc. Both constructors drop
 the entries that cancelled to zero and the grades left empty.
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import ContextError
@@ -345,19 +348,36 @@ def _gaussian_numerators(groups):
     """Term maps written over one denominator, as Gaussian integers.
 
     groups maps a label (a grade, say) to a term map {key: (re, im)} with
-    rational parts. Returns (den, {label: [(key, nre, nim), ...]}), den
-    the lcm of every denominator, re = nre / den and im = nim / den: one
-    int multiply per part, no Fraction arithmetic.
+    rational parts. Returns the numerator form (den, {label: {key: (nre,
+    nim)}}), den the lcm of every denominator, re = nre / den and
+    im = nim / den: one int multiply per part, no Fraction arithmetic.
     """
     den = 1
     for terms in groups.values():
         for re, im in terms.values():
             den = lcm(den, re.denominator, im.denominator)
     return den, {
-        label: [(key, re.numerator * (den // re.denominator),
-                 im.numerator * (den // im.denominator))
-                for key, (re, im) in terms.items()]
+        label: {key: (re.numerator * (den // re.denominator),
+                      im.numerator * (den // im.denominator))
+                for key, (re, im) in terms.items()}
         for label, terms in groups.items()}
+
+
+def _reduced(den, acc):
+    """An integer accumulator over den in numerator form, the gcd of den
+    and every numerator divided out, so that denominators do not grow;
+    zero entries and empty labels are dropped."""
+    g = den
+    for terms in acc.values():
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+    groups = {}
+    for label, terms in acc.items():
+        terms = {e: (re // g, im // g) for e, (re, im) in terms.items()
+                 if re or im}
+        if terms:
+            groups[label] = terms
+    return den // g, groups
 
 
 def _from_numerators(ctx, den, acc):

@@ -40,8 +40,9 @@ grade pair at a time, fills grade m+n of the result, and truncation
 prunes whole grade pairs, never single combinations.
 
 The arithmetic runs on integers. Operands arrive in numerator form,
-Gaussian-integer numerators over one denominator D_a (D_b), grouped by
-grade: moyal, commutator and scaled_bracket write their elements so,
+(D_a, {grade: {exps: (re, im)}}) with Gaussian-integer numerators over
+one denominator D_a (D_b), the layout elements._gaussian_numerators
+writes: moyal, commutator and scaled_bracket write their elements so,
 and the star-recursion memo keeps its images so. Only the grades of an
 operand that meet some grade of the other within the cutoff take part.
 Every weight is scaled by L = jtop! 2^jtop to the integer
@@ -52,7 +53,9 @@ the two operands' top grades; a huge truncation leaves L small when the
 operands are small. The kernel makes no Fraction: it returns the
 accumulated numerators over D_a * D_b * L, and the public products
 divide once per output part (elements._from_numerators), while the memo
-divides out only their gcd.
+only puts them in lowest terms (elements._reduced). The odd half, over
+that denominator, is the commutator over half of it: L is even once an
+odd order can occur, and the odd half is empty otherwise.
 
 Every term pair takes the same rule. The orders j of a pair are bounded by
 jmax = sum_p (kmax_p + lmax_p), and the rule stops after the j = 0 term
@@ -80,7 +83,7 @@ from .errors import InternalError
 def _moyal_raw(num_a, num_b, d, cutoff, parity):
     """Star product of operands in numerator form, keeping grades <= cutoff.
 
-    Each operand is (den, {grade: [(exps, re, im)]}), Gaussian-integer
+    Each operand is (den, {grade: {exps: (re, im)}}), Gaussian-integer
     numerators over one denominator as _gaussian_numerators writes them.
     parity None keeps every order j of the series, 0 only the even j (the
     symmetric product (a*b + b*a)/2) and 1 only the odd j ((a*b - b*a)/2).
@@ -115,14 +118,14 @@ def _moyal_raw(num_a, num_b, d, cutoff, parity):
             out = acc.setdefault(ga + gb, {})
             items_b = ints_b[gb]
             if settled:
-                for e1, re1, im1 in items_a:
+                for e1, (re1, im1) in items_a.items():
                     re1, im1 = re1 * scale, im1 * scale
-                    for e2, re2, im2 in items_b:
+                    for e2, (re2, im2) in items_b.items():
                         _acc_add(out, tuple(map(int.__add__, e1, e2)),
                                  re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
                 continue
-            for e1, re1, im1 in items_a:
-                for e2, re2, im2 in items_b:
+            for e1, (re1, im1) in items_a.items():
+                for e2, (re2, im2) in items_b.items():
                     _moyal_pair(out, d, e1, e2, re1 * re2 - im1 * im2,
                                 re1 * im2 + im1 * re2, parity, scale)
     return den_a * den_b * scale, acc
@@ -215,13 +218,11 @@ def commutator(a, b):
     """Star commutator a * b - b * a.
 
     b * a is a * b with each order j signed (-1)^j, so the commutator is
-    twice the odd-j terms of a * b: one kernel pass.
+    twice the odd-j terms of a * b: one kernel pass, read over den // 2.
     """
     _require_same_ctx(a, b)
     den, acc = _numerator_product(a, b, a.ctx.trunc, 1)
-    return _from_numerators(a.ctx, den, {
-        g: {e: (re + re, im + im) for e, (re, im) in terms.items()}
-        for g, terms in acc.items()})
+    return _from_numerators(a.ctx, den // 2, acc)
 
 
 def scaled_bracket(a, b):
@@ -229,11 +230,11 @@ def scaled_bracket(a, b):
     _require_same_dim(a, b)
     ctx = a.ctx if a.ctx.trunc <= b.ctx.trunc else b.ctx
     # the bracket peeks two grades above the quotient; each term of the
-    # commutator, twice the odd orders, is multiplied by i and divided by
-    # one power of hbar, which lowers its grade by 2
+    # commutator, the odd orders over den // 2, is multiplied by i and
+    # divided by one power of hbar, which lowers its grade by 2
     den, acc = _numerator_product(a, b, ctx.trunc + 2, 1)
-    out = _from_numerators(ctx, den, {
-        g - 2: {e: (-im - im, re + re) for e, (re, im) in terms.items()}
+    out = _from_numerators(ctx, den // 2, {
+        g - 2: {e: (-im, re) for e, (re, im) in terms.items()}
         for g, terms in acc.items()})
     if any(sum(e) > g for g, terms in out._raw.items() for e in terms):
         raise InternalError(

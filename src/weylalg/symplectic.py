@@ -22,9 +22,9 @@ engine's bracket convention J = [[0, -I], [I, 0]].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .elements import Context, WeylElement, MIN_TRUNC, _gaussian_numerators
+from .elements import (
+    Context, WeylElement, MIN_TRUNC, _gaussian_numerators, _reduced)
 from .errors import ContextError, NotSymplecticError, SingularMatrixError
 from .scalars import (
     G_ONE, G_ZERO, QZERO, GaussianRational, _coerce_gaussian, rational)
@@ -183,7 +183,7 @@ def _row_factors(m):
 
     Returns (steps, perm). Step t is (i, delta, lam): E_t is the identity
     with row i replaced by l = lam / delta in lowest terms, lam given by
-    its nonzero entries (k, re, im) as Gaussian integers and delta > 0.
+    its nonzero entries {k: (re, im)} as Gaussian integers and delta > 0.
     perm[i] = j says (Pz)_i = z_j. No E_t is the identity, so T <= 2d.
 
     X = C^-1, for C = E_t^-1 ... E_1^-1 M the part of M not yet factored,
@@ -202,38 +202,36 @@ def _row_factors(m):
     if factors is not None:
         return factors
     n = 2 * m.dim
-    # row r of X is ({k: (re, im)}, s): Gaussian integers over s
+    # row r of X is (s, {k: (re, im)}): Gaussian integers over s
     s, rows = _gaussian_numerators({
         r: {k: (v.re, v.im) for k, v in enumerate(row) if v}
         for r, row in enumerate(m.inverse().rows)})
-    x = [({k: (re, im) for k, re, im in rows[r]}, s) for r in range(n)]
+    x = [(s, rows[r]) for r in range(n)]
     todo = set(range(n))
     free = set(range(n))
     perm = [None] * n
     steps = []
     for _ in range(n):
-        _, _, i, j = min((len(x[j][0]), i != j, i, j)
-                         for i in todo for j in free if i in x[j][0])
+        _, _, i, j = min((len(x[j][1]), i != j, i, j)
+                         for i in todo for j in free if i in x[j][1])
         todo.remove(i)
         free.remove(j)
         perm[i] = j
-        c, s = x[j]
+        s, c = x[j]
         a, b = c[i]
-        x[j] = ({i: (1, 0)}, 1)
+        x[j] = (1, {i: (1, 0)})
         if len(c) == 1 and a == s and not b:
             continue
         # l = lam / delta: l_i = s / c_i and l_k = -c_k / c_i, over |c_i|^2
         lam = {k: (-(re * a + im * b), re * b - im * a)
                for k, (re, im) in c.items()}
         lam[i] = (s * a, -s * b)
-        delta = a * a + b * b
-        g = gcd(delta, *(v for pair in lam.values() for v in pair))
-        delta //= g
-        lam = {k: (re // g, im // g) for k, (re, im) in lam.items()}
+        delta, lam = _reduced(a * a + b * b, {i: lam})
+        lam = lam[i]
         # X <- X E_t: column k gains column i times (l_k - [k = i])
         shift = dict(lam)
         shift[i] = (lam[i][0] - delta, lam[i][1])
-        for r, (row, sr) in enumerate(x):
+        for r, (sr, row) in enumerate(x):
             xi = row.get(i)
             if xi is None or r == j:
                 continue
@@ -241,18 +239,10 @@ def _row_factors(m):
             row = {k: (delta * re, delta * im) for k, (re, im) in row.items()}
             for k, (lr, lm) in shift.items():
                 re, im = row.get(k, (0, 0))
-                re += xr * lr - xm * lm
-                im += xr * lm + xm * lr
-                if re or im:
-                    row[k] = (re, im)
-                else:
-                    row.pop(k, None)
-            sr *= delta
-            g = gcd(sr, *(v for pair in row.values() for v in pair))
-            x[r] = ({k: (re // g, im // g) for k, (re, im) in row.items()},
-                    sr // g)
-        steps.append((i, delta, tuple(
-            (k, re, im) for k, (re, im) in sorted(lam.items()))))
+                row[k] = (re + xr * lr - xm * lm, im + xr * lm + xm * lr)
+            sr, row = _reduced(sr * delta, {r: row})
+            x[r] = (sr, row[r])
+        steps.append((i, delta, lam))
     factors = (tuple(steps), tuple(perm))
     object.__setattr__(m, "_factors", factors)
     return factors
@@ -275,8 +265,9 @@ def _add_scaled(acc, terms, unit, c):
 def _substitute_variable(re, im, shift, mask, form, delta):
     """re + i*im with z_i -> lam . z, every term times delta^R.
 
-    z_i sits in the key field at shift, form lists lam's nonzero entries
-    as (unit key, re, im), and R is the top power of z_i present. With
+    z_i sits in the key field at shift, form maps the unit key of each of
+    lam's nonzero entries to its (re, im), and R is the top power of z_i
+    present. With
     b = sum_r z_i^r b_r, Horner runs H <- H * lam + delta^(R-r) b_r for
     r = R .. 0, so every term carries the same delta^R. Returns the two
     int maps, entries that cancelled dropped, and R.
@@ -292,7 +283,7 @@ def _substitute_variable(re, im, shift, mask, form, delta):
     hre, him = split[top]
     for r in range(top - 1, -1, -1):
         nre, nim = {}, {}
-        for unit, lre, lim in form:
+        for unit, (lre, lim) in form.items():
             if lre:
                 nre = _add_scaled(nre, hre, unit, lre)
                 nim = _add_scaled(nim, him, unit, lre)
@@ -350,7 +341,7 @@ def pullback(m, a):
     den, groups = _gaussian_numerators(a._raw)
     re, im = {}, {}
     for g, items in groups.items():
-        for e, nre, nim in items:
+        for e, (nre, nim) in items.items():
             key = g << gshift
             for l, v in enumerate(e):
                 key += v << (width * l)
@@ -359,7 +350,7 @@ def pullback(m, a):
             if nim:
                 im[key] = nim
     for i, delta, lam in steps:
-        form = [(1 << (width * k), lre, lim) for k, lre, lim in lam]
+        form = {1 << (width * k): v for k, v in lam.items()}
         re, im, top = _substitute_variable(
             re, im, width * i, mask, form, delta)
         den *= delta ** top

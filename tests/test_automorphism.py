@@ -1,6 +1,8 @@
 """Automorphism application, verification, derivations, exp and log."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,7 +31,7 @@ from weylalg import (
     scaled_bracket,
     verify_morphism,
 )
-from weylalg.elements import monomials_of_grade
+from weylalg.elements import _gaussian_numerators, monomials_of_grade
 from weylalg.sampling import (
     random_element, random_inner_generator, random_instance,
     random_monomial_key)
@@ -210,6 +212,50 @@ def test_apply_matches_reference(rng, c):
             assert phi.apply(args[0]).is_zero()
             if derivation:
                 assert phi.apply(args[1]).is_zero()
+
+
+def _assert_numerator_form(num):
+    # canonical: den > 0, gcd(den, every part) = 1, no (0, 0) entry and
+    # no empty label
+    den, groups = num
+    pairs = [v for terms in groups.values() for v in terms.values()]
+    assert den > 0
+    assert all(groups.values())
+    assert (0, 0) not in pairs
+    assert gcd(den, *(part for pair in pairs for part in pair)) == 1
+
+
+def test_memo_images_are_canonical():
+    # the memo holds literals, _gaussian_numerators' generator images and
+    # _reduced's products; check all of it after verify's compose on the
+    # first C08 instances per dimension, and after a basis sweep of a C07
+    # logarithm in each dimension
+    rng = random.Random(108)
+    forms = []
+    for d in (1, 2, 3):
+        ctx = Context(d, 8)
+        for i in range(3):
+            phi, m, s = random_instance(rng, ctx, steps=8, generator_terms=10,
+                                        complex_scalars=(i == 0))
+            lin = pullback_automorphism(m, ctx)
+            compose(lin, inner_automorphism(s, ctx))
+            forms += lin._memo.values()
+            forms += [_gaussian_numerators(im._raw) for im in phi.images]
+    rng = random.Random(107)
+    for i in range(2):
+        ctx = Context(1 + i % 2, 8)
+        s = random_element(rng, ctx, terms=3, min_grade=3,
+                           max_grade=ctx.trunc, require_z=True,
+                           complex_scalars=(i % 5 == 0))
+        dv = log_automorphism(exp_derivation(DerivationData(ctx, [
+            scaled_bracket(s, _x(ctx, k)) for k in range(ctx.nvars)])))
+        for g in range(ctx.trunc + 1):
+            for h, e in monomials_of_grade(ctx, g):
+                dv.apply(WeylElement.monomial(ctx, h, e))
+        forms += dv._memo.values()
+    assert len(forms) > 500
+    for num in forms:
+        _assert_numerator_form(num)
 
 
 def test_memo_denominators_do_not_grow():

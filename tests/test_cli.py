@@ -183,9 +183,14 @@ def test_huge_hbar_scale_record(tmp_path, capsys):
                             f"{sys.get_int_max_str_digits()} digits, need 1\n")
 
 
-def test_missing_file(capsys):
+def test_missing_file(capsys, tmp_path):
     assert main(["factor", "/nonexistent/nope.json"]) == 1
     capsys.readouterr()
+    # an --out that cannot be written fails before any result is printed
+    assert main(["star", "x1", "p1", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_env_var_default(tmp_path):

@@ -65,6 +65,20 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_only_elements_imports_gcd():
+    # numerator forms have one gcd reducer, elements._reduced; another
+    # module that imports gcd, or reads math.gcd, would be writing a second
+    root = pathlib.Path(weylalg.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.alias) and node.name == "gcd"
+               or isinstance(node, ast.Attribute) and node.attr == "gcd"
+               for node in ast.walk(tree)):
+            found.append(path.name)
+    assert found == ["elements.py"]
+
+
 # each module may import only modules earlier in this list; imports inside
 # functions are not read (WeylElement.__str__ imports exprio's printer)
 _LAYERS = ["errors", "scalars", "elements", "star", "symplectic",

@@ -132,6 +132,24 @@ def test_top_grade_change_is_a_morphism_that_does_not_factor(
         factor(below)
 
 
+def test_factor_commutes_with_projection():
+    # the quotient map A/X_9 -> A/X_{N'+1} carries pullback(M) o inner(S)
+    # to pullback(M) o inner(S mod X_{N'+2}), so factoring the projected
+    # images gives M again and S cut two grades above N'
+    rng = random.Random(2026)
+    for d in (1, 2, 3):
+        for _ in range(4):
+            phi, m, s = random_instance(rng, Context(d, 8), steps=6,
+                                        generator_terms=6,
+                                        complex_scalars=rng.random() < 0.3)
+            for low in range(MIN_TRUNC, 8):
+                ctx = Context(d, low)
+                res = factor(AutomorphismData(ctx, [
+                    WeylElement(ctx, im.terms()) for im in phi.images]))
+                assert res.matrix == m
+                assert res.generator == WeylElement(ctx.lifted(), s.terms())
+
+
 def _series_log(phi):
     """log(phi) as the series sum_m (-1)^(m+1) (phi - id)^m / m on each
     generator, finite because phi - id raises the grade."""

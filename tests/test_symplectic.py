@@ -178,7 +178,7 @@ def test_row_factors_multiply_back(rng):
         for i, delta, lam in steps:
             e = _identity_rows(n)
             e[i] = [GaussianRational(0)] * n
-            for k, re, im in lam:
+            for k, (re, im) in lam.items():
                 e[i][k] = GaussianRational(Fraction(re, delta),
                                            Fraction(im, delta))
             assert [r for r in range(n) if e[r] != eye[r]] == [i]
