@@ -267,10 +267,10 @@ def _substitute_variable(re, im, shift, mask, form, delta):
 
     z_i sits in the key field at shift, form maps the unit key of each of
     lam's nonzero entries to its (re, im), and R is the top power of z_i
-    present. With
-    b = sum_r z_i^r b_r, Horner runs H <- H * lam + delta^(R-r) b_r for
-    r = R .. 0, so every term carries the same delta^R. Returns the two
-    int maps, entries that cancelled dropped, and R.
+    present. With b = sum_r z_i^r b_r, Horner runs
+    H <- H * lam + delta^(R-r) b_r for r = R .. 0, so every term carries
+    the same delta^R. Returns the two int maps, entries that cancelled
+    dropped, and R.
     """
     split = {}
     for part, terms in enumerate((re, im)):
