@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from .errors import ContextError
@@ -407,7 +408,7 @@ def _cmul_raw(raw_a, raw_b, cutoff):
             out = acc.setdefault(ga + gb, {})
             for e1, (re1, im1) in terms_a.items():
                 for e2, (re2, im2) in terms_b.items():
-                    _acc_add(out, tuple(map(int.__add__, e1, e2)),
+                    _acc_add(out, tuple(map(add, e1, e2)),
                              re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
     return acc
 

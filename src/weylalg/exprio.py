@@ -14,6 +14,15 @@ may not exceed Python's integer-conversion limit of digits, and
 parentheses nest at most MAX_NESTING deep. Whitespace is free between
 tokens.
 
+The lexer reads a power whose atom is a name or a parenthesised constant
+such as (4/3), (8/3-2*i) or (-2+i), with its "^ natural", as one token:
+x1^2, h, i^3, (854/3). Each distinct power text is evaluated once per
+record, into an exponent added to a variable or to hbar or into a
+Gaussian scalar, and one table of these values serves all the images of
+an automorphism record. This changes no value and no error: an error
+inside a power token has the class, message and position it would have
+if each part were a token of its own.
+
 format_element produces a canonical line: terms sorted by grade, then
 hbar power, then graded-lex on the variables (x-heavy monomials first),
 joined with " + " / " - ", each term written as
@@ -64,28 +73,51 @@ SCHEMA_FACTORIZATION = "factorization/1"
 
 # tokenizer
 
-# A token after any whitespace: a natural with an optional "/ natural" (a
-# rational literal, whose second digits may be missing: an error), a name,
-# an operator, or any other character but whitespace (an error). Digits
-# and names are ASCII. The pattern is matched only up to the end of the
-# last token (_token_end): a search in trailing whitespace would backtrack
-# through all of it at every position, quadratic in its length.
+# A token after any whitespace. A power token is a name or a parenthesised
+# constant such as (4/3), (8/3-2*i) or (-2+i), with the "^" after it if
+# there is one and the natural after that "^" (its digits unless a "/"
+# follows them, which makes them a rational literal: an error); a power
+# token whose "^" is followed by no natural ends at the "^", and the
+# exponent is the next token. Any other token is a natural with an
+# optional "/ natural" (a rational literal, whose second digits may be
+# missing: an error), an operator, or any other character but whitespace
+# (an error). Digits and names are ASCII. The pattern is matched only up
+# to the end of the last token (_token_end): a search in trailing
+# whitespace would backtrack through all of it at every position,
+# quadratic in its length.
 _SPACE = " \t\r\n"
+_WS = "[ \t\r\n]*"
+_RATIONAL = "[0-9]+(?:[ \t]*/[ \t]*[0-9]+)?"
+
+
+def _constant(part):
+    """The pattern of a parenthesised constant, part opening the group of
+    each of its parts: the sign, the real literal, the sign of the i term
+    and its literal."""
+    return (rf"\({_WS}{part}-?){_WS}{part}{_RATIONAL})"
+            rf"(?:{_WS}{part}[-+]){_WS}(?:{part}{_RATIONAL}){_WS}\*{_WS})?i)?"
+            rf"{_WS}\)")
+
+
 _TOKEN = re.compile(
-    r"[ \t\r\n]*([0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[A-Za-z][A-Za-z0-9_]*"
-    r"|[-+*^()]|[^ \t\r\n])")
+    rf"{_WS}([-+*^)]|(?:[A-Za-z][A-Za-z0-9_]*|{_constant('(?:')})"
+    rf"(?:{_WS}\^(?:{_WS}[0-9]+(?![0-9]|[ \t]*/))?)?"
+    r"|[0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[^ \t\r\n])")
+_CONSTANT = re.compile(_constant("("))
 _DIGITS = frozenset(digits)
 _NAME_START = frozenset(ascii_letters)
 _END = ""       # the token after the last
 
 
 def _kind(tok):
-    """A token's kind for messages: "num", "name", "end" or the operator."""
+    """A token's kind for messages: "num", "name", "end" or the operator,
+    "(" for a parenthesised constant."""
     if tok == _END:
         return "end"
-    if tok[0] in _DIGITS:
+    c = tok[0]
+    if c in _DIGITS:
         return "num"
-    return "name" if tok[0] in _NAME_START else tok
+    return "name" if c in _NAME_START else c
 
 
 def _token_end(text):
@@ -93,12 +125,12 @@ def _token_end(text):
     return len(text.rstrip(_SPACE))
 
 
-def _position(text, idx):
-    """(line, column) of token idx of text, both counted from 1."""
+def _position(text, idx, at=0):
+    """(line, column) of offset at in token idx of text, both counted from 1."""
     offset = len(text)
     for i, m in enumerate(_TOKEN.finditer(text, 0, _token_end(text))):
         if i == idx:
-            offset = m.start(1)
+            offset = m.start(1) + at
             break
     return (text.count("\n", 0, offset) + 1,
             offset - text.rfind("\n", 0, offset))
@@ -133,26 +165,72 @@ def _number(tok):
     return Fraction(num, den)
 
 
-def _tokenize(text):
+def _raised(value, n):
+    """A power value (see _Parser) to the nth power."""
+    k, m = value
+    if k is not None:
+        return k, m * n
+    g = GaussianRational._wrap(*m) ** n
+    return None, (g.re, g.im)
+
+
+def _tokenize(text, powers):
     """The token texts of text, then _END, and the literals' values.
 
-    A token's validity and value depend on its text alone, so each
-    distinct text is checked, and a literal evaluated, once, in the order
-    of first occurrence: the first bad distinct text is the first bad
-    token, and tokens.index finds its position for the message. numbers
-    maps each literal text to its Fraction.
+    A token's validity depends on its text alone, so each distinct text is
+    checked once, in the order of first occurrence, and the parts of a
+    power token from left to right: the first bad distinct text is the
+    first bad token, and tokens.index finds its position for the message.
+    A text that powers, the table of power values, already holds was
+    checked when it went in. numbers maps each literal text, the parts of
+    parenthesised constants included, to its Fraction, each evaluated
+    once. A parenthesised constant's value goes into powers under its
+    text without the exponent, and under the token's text raised to the
+    exponent unless that is past MAX_EXPONENT, an error the parser
+    reports when it reaches the token.
     """
     tokens = _TOKEN.findall(text, 0, _token_end(text))
     numbers = {}
+
+    def check(evaluate, part, tok, at):
+        """evaluate(part) for the part at offset at of token tok."""
+        try:
+            return evaluate(part)
+        except ValueError as exc:
+            raise ExprSyntaxError(
+                str(exc), *_position(text, tokens.index(tok), at)) from None
+
+    def literal(lit, tok, at):
+        """The Fraction of the literal lit at offset at of token tok."""
+        q = numbers.get(lit)
+        if q is None:
+            q = numbers[lit] = check(_number, lit, tok, at)
+        return q
+
     for tok in dict.fromkeys(tokens):
         c = tok[0]
         if c in _DIGITS:
-            try:
-                numbers[tok] = _number(tok)
-            except ValueError as exc:
-                raise ExprSyntaxError(
-                    str(exc), *_position(text, tokens.index(tok))) from None
-        elif c not in _NAME_START and c not in "+-*^()":
+            literal(tok, tok, 0)
+        elif c in _NAME_START or c == "(" and tok != "(":
+            if tok in powers:
+                continue
+            if c == "(":
+                m = _CONSTANT.match(tok)
+                sign, lit, isign, ilit = m.groups()
+                real = literal(lit, tok, m.start(2))
+                imag = literal(ilit, tok, m.start(4)) if ilit else QONE
+                value = None, (-real if sign else real,
+                               QZERO if not isign
+                               else -imag if isign == "-" else imag)
+            atom, _, exp = tok.partition("^")
+            exp = exp.lstrip(_SPACE)
+            if exp:
+                n = check(_natural, exp, tok, len(tok) - len(exp))
+            if c == "(":
+                powers[atom.rstrip(_SPACE)] = value
+                if exp and n <= MAX_EXPONENT:
+                    powers[tok] = _raised(value, n)
+        elif c not in "+-*^()":
             raise ExprSyntaxError(f"unexpected character {c!r}",
                                   *_position(text, tokens.index(tok)))
     tokens.append(_END)
@@ -161,34 +239,40 @@ def _tokenize(text):
 
 # recursive-descent parser, evaluating on the fly
 
-_HBAR = -1      # the name marker of h, beside the variable indices
+# the value of a factor set aside: it adds the exponent 0 to x1
+_NOTHING = (0, 0)
 
 
 class _Parser:
     """Sums an expression into one accumulator while reading its tokens.
 
-    Every atom of a product, a parenthesised constant included, folds
-    into one monomial: a coefficient cr + i*ci, an hbar power and an
-    exponent list. A literal's value is looked up by its text in the
-    tokenizer's dict, and a parenthesised lone literal such as (854/3)
-    folds as that literal, with no accumulator. A non-constant
-    parenthesised factor is raised to its power and set aside; when the
-    product ends, the set-aside factors are multiplied into the finished
-    monomial. The product is commutative and grades only grow along it,
-    so truncating once at the end equals truncating at every step.
+    Every factor of a product, a parenthesised constant included, folds
+    into one monomial: a coefficient cr + i*ci and a list of the
+    variables' exponents, then hbar's. A power token's value is (k, n),
+    the exponent n added at index k of that list, or (None, (re, im)), a
+    scalar factor. The table powers holds it by the token's text, and
+    one table serves every text of a record, so the product folds a
+    power it has met before with one dict lookup. A power met the first
+    time, a literal, which is looked up by its text in the tokenizer's
+    dict, and a parenthesised expression go through factor. A
+    non-constant parenthesised factor is raised to its power and set
+    aside; when the product ends, the set-aside factors are multiplied
+    into the finished monomial. The product is commutative and grades
+    only grow along it, so truncating once at the end equals truncating
+    at every step.
     """
 
-    def __init__(self, text, tokens, ctx):
+    def __init__(self, text, ctx, powers):
         self.text = text
-        self.tokens, self.numbers = tokens
+        self.tokens, self.numbers = _tokenize(text, powers)
+        self.powers = powers
         self.pos = 0
         self.ctx = ctx
         self.depth = 0
-        self.names = {"h": _HBAR}       # variable name -> index, or _HBAR
         self.zeros = (0,) * ctx.nvars
 
-    def err(self, msg, pos, cls=ExprSyntaxError):
-        raise cls(msg, *_position(self.text, pos))
+    def err(self, msg, pos, cls=ExprSyntaxError, at=0):
+        raise cls(msg, *_position(self.text, pos, at))
 
     def parse(self):
         acc = {}
@@ -218,69 +302,110 @@ class _Parser:
 
     def product(self, acc, negate):
         """Sums a product of powers, negated if asked, into acc."""
-        tokens, names, numbers = self.tokens, self.names, self.numbers
+        tokens = self.tokens
+        # at the nesting bound a parenthesised constant is an error, which
+        # power reports
+        powers = self.powers if self.depth < MAX_NESTING else {}
         cr, ci = QONE, QZERO
-        hpow = 0
-        exps = [0] * self.ctx.nvars
+        exps = [0] * (self.ctx.nvars + 1)
         groups = []         # the non-constant parenthesised factors, powered
+        pos = self.pos
         while True:
-            pos = self.pos
-            tok = tokens[pos]
-            self.pos = pos + 1
-            c = tok[:1]
-            if c in _NAME_START and tok != "i":
-                k = names.get(tok)
-                if k is None:
-                    k = self.variable(pos)
-                n = self.exponent() if tokens[self.pos] == "^" else 1
-                if k == _HBAR:
-                    hpow += n
-                else:
-                    exps[k] += n
+            value = powers.get(tokens[pos])
+            if value is None:
+                self.pos = pos
+                value = self.factor(groups)
+                pos = self.pos
             else:
-                if c in _DIGITS:
-                    g = numbers[tok], QZERO
-                elif tok == "i":
-                    g = G_I.re, G_I.im
-                elif tok == "(":
-                    g = self.group(pos)
+                pos += 1
+            k, n = value
+            if k is not None:
+                exps[k] += n
+            else:
+                fr, fi = n
+                if cr is QONE and ci is QZERO:  # the first scalar factor
+                    cr, ci = fr, fi
                 else:
-                    self.err(f"expected a value, found {_kind(tok)!r}", pos)
-                n = self.exponent() if tokens[self.pos] == "^" else None
-                if type(g) is not tuple:    # a non-constant group
-                    groups.append(g if n is None else g ** n)
-                else:
-                    fr, fi = g
-                    if n is not None:
-                        g = GaussianRational._wrap(fr, fi) ** n
-                        fr, fi = g.re, g.im
-                    if cr is QONE and not ci:   # the first scalar factor
-                        cr, ci = fr, fi
-                    else:
-                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
-            if tokens[self.pos] != "*":
+                    cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
+            if tokens[pos] != "*":
                 break
-            self.pos += 1
+            pos += 1
+        self.pos = pos
+        hpow = exps.pop()
         grade = 2 * hpow + sum(exps)
-        if not (cr or ci) or grade > self.ctx.trunc:
+        if grade > self.ctx.trunc:
             return
         if negate:
-            if cr:
-                cr = -cr
-            if ci:
+            cr = -cr
+            if ci is not QZERO:
                 ci = -ci
         exps = tuple(exps)
-        if not groups:
+        if not groups:      # a zero sum stays in acc; _from_acc drops it
             _acc_add(acc.setdefault(grade, {}), exps, cr, ci)
+            return
+        if not (cr or ci):
             return
         e = WeylElement._from_raw(self.ctx, {grade: {exps: (cr, ci)}})
         for g in groups:
             e = e * g
         _acc_merge(acc, e._raw)
 
+    def factor(self, groups):
+        """The value of the power at the current token, in the shape of
+        the table of powers; a non-constant parenthesised factor goes to
+        groups instead, and its value is _NOTHING."""
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        self.pos = pos + 1
+        c = tok[:1]
+        if c in _NAME_START or c == "(" and tok != "(":
+            return self.power(pos)
+        if c in _DIGITS:
+            g = self.numbers[tok], QZERO
+        elif tok == "(":
+            g = self.group(pos)
+        else:
+            self.err(f"expected a value, found {_kind(tok)!r}", pos)
+        n = None
+        if tokens[self.pos] == "^":
+            self.pos += 1
+            n = self.exponent()
+        if type(g) is tuple:
+            return (None, g) if n is None else _raised((None, g), n)
+        groups.append(g if n is None else g ** n)     # a non-constant group
+        return _NOTHING
+
+    def power(self, pos):
+        """The value of the power token at pos, which goes into the table
+        unless the token ends in "^", whose exponent is the next token."""
+        tok = self.tokens[pos]
+        if tok[0] == "(" and self.depth == MAX_NESTING:
+            self.err(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        powers = self.powers
+        value = powers.get(tok)
+        if value is not None:   # a product at the nesting bound reads no table
+            return value
+        atom, caret, exp = tok.partition("^")
+        atom = atom.rstrip(_SPACE)
+        base = powers.get(atom)
+        if base is None:        # a name; the tokenizer fills in constants
+            base = powers[atom] = self.name(atom, pos)
+        if not caret:
+            return base
+        exp = exp.lstrip(_SPACE)
+        if not exp:
+            return _raised(base, self.exponent())
+        n = int(exp)
+        if n > MAX_EXPONENT:
+            self.err(f"exponent {n} exceeds limit {MAX_EXPONENT}", pos,
+                     ExponentOverflowError, len(tok) - len(exp))
+        value = powers[tok] = _raised(base, n)
+        return value
+
     def exponent(self):
-        """The natural after the "^" at the current token."""
-        pos = self.pos + 1
+        """The natural at the current token, the one after a "^"."""
+        pos = self.pos
         q = self.numbers.get(self.tokens[pos])
         if q is None or q.denominator != 1:
             self.err("exponent must be a natural number", pos)
@@ -291,11 +416,14 @@ class _Parser:
         self.pos = pos + 1
         return n
 
-    def variable(self, pos):
-        """Index of the variable a name token holds; remembered by name."""
-        name = self.tokens[pos]
+    def name(self, name, pos):
+        """The value of the name that the token at pos starts with."""
+        if name == "i":
+            return None, (G_I.re, G_I.im)
+        dim = self.ctx.dim
+        if name == "h":
+            return 2 * dim, 1
         if len(name) >= 2 and name[0] in "xp" and name[1:].isdigit():
-            dim = self.ctx.dim
             try:
                 idx = _natural(name[1:])
             except ValueError as exc:
@@ -303,8 +431,7 @@ class _Parser:
             if not 1 <= idx <= dim:
                 self.err(f"variable {name!r} out of range for dimension {dim}",
                          pos, UnknownVariableError)
-            k = self.names[name] = idx - 1 if name[0] == "x" else dim + idx - 1
-            return k
+            return (idx - 1 if name[0] == "x" else dim + idx - 1), 1
         self.err(f"unknown identifier {name!r}", pos, UnknownVariableError)
 
     def group(self, pos):
@@ -314,11 +441,6 @@ class _Parser:
         """
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest deeper than {MAX_NESTING}", pos)
-        tokens = self.tokens
-        q = self.numbers.get(tokens[pos + 1])
-        if q is not None and tokens[pos + 2] == ")":     # a lone literal
-            self.pos = pos + 3
-            return q, QZERO
         self.depth += 1
         acc = {}
         self.expr(acc)
@@ -335,16 +457,18 @@ class _Parser:
 
 def parse_element(text, ctx):
     """Evaluate an expression string in the given context, truncating."""
-    return _Parser(text, _tokenize(text), ctx).parse()
+    return _Parser(text, ctx, {}).parse()
 
 
 def parse_scalar(text):
     """A Gaussian-rational constant; variables and hbar are rejected."""
-    tokens = _tokenize(text)
-    # checked before evaluation, whose truncation could drop h^3 or x1^5
-    if any(t[:1] in _NAME_START and t != "i" for t in tokens[0]):
+    parser = _Parser(text, Context(1, 4), {})
+    # checked before evaluation, whose truncation could drop h^3 or x1^5;
+    # a power token's atom is its text before any "^"
+    if any(t[:1] in _NAME_START and t.partition("^")[0].rstrip(_SPACE) != "i"
+           for t in parser.tokens):
         raise RecordError(f"expected a scalar constant, got {text!r}")
-    return _Parser(text, tokens, Context(1, 4)).parse().coefficient(0, (0, 0))
+    return parser.parse().coefficient(0, (0, 0))
 
 
 # canonical printing
@@ -546,10 +670,11 @@ def automorphism_from_record(rec):
         raise RecordError(
             "automorphism payload needs 2*dim image strings")
     parsed = []
+    powers = {}     # one table of power values for all the images
     for text in images:
         if not isinstance(text, str):
             raise RecordError("automorphism images must be strings")
-        parsed.append(parse_element(text, ctx))
+        parsed.append(_Parser(text, ctx, powers).parse())
     scale_text = payload.get("hbar_scale", "1")
     if not isinstance(scale_text, str):
         raise RecordError("hbar_scale must be a string")

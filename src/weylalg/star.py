@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from itertools import product as _iproduct
 from math import factorial, perm
+from operator import add
 
 from .elements import (
     WeylElement, _acc_add, _from_numerators, _gaussian_numerators,
@@ -121,7 +122,7 @@ def _moyal_raw(num_a, num_b, d, cutoff, parity):
                 for e1, (re1, im1) in items_a.items():
                     re1, im1 = re1 * scale, im1 * scale
                     for e2, (re2, im2) in items_b.items():
-                        _acc_add(out, tuple(map(int.__add__, e1, e2)),
+                        _acc_add(out, tuple(map(add, e1, e2)),
                                  re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
                 continue
             for e1, (re1, im1) in items_a.items():
@@ -134,7 +135,7 @@ def _moyal_raw(num_a, num_b, d, cutoff, parity):
 def _moyal_pair(out, d, e1, e2, pre, pim, parity, scale):
     """Adds one term pair's orders of the kept parity into out, the term
     dict of the pair's grade, keyed by exponents."""
-    base = tuple(map(int.__add__, e1, e2))
+    base = tuple(map(add, e1, e2))
     if parity != 1:
         _acc_add(out, base, pre * scale, pim * scale)
 

@@ -363,7 +363,8 @@ def test_c09_kernel_exactness(instance_corpus, capsys):
 def test_c08_largest_record_evaluates_each_literal_once(instance_corpus,
                                                         monkeypatch):
     # a cost guard beside the criteria: parsing an image of the corpus's
-    # largest record evaluates each distinct literal text once
+    # largest record evaluates each distinct literal text once, the
+    # literals inside parenthesised constants such as (854/3) included
     phi = max((item[1] for item in instance_corpus),
               key=lambda phi: sum(map(len, phi.images)))
     texts = json.loads(exprio_module.dumps_record(
@@ -378,8 +379,13 @@ def test_c08_largest_record_evaluates_each_literal_once(instance_corpus,
     monkeypatch.setattr(exprio_module, "_number", counted)
     repeated = 0
     for text, image in zip(texts, phi.images):
-        literals = [t for t in exprio_module._TOKEN.findall(text)
-                    if t[0].isdigit()]
+        literals = []
+        for t in exprio_module._TOKEN.findall(text):
+            if t[0].isdigit():
+                literals.append(t)
+            elif t[0] == "(":
+                m = exprio_module._CONSTANT.match(t)
+                literals += filter(None, m.group(2, 4))
         evaluated.clear()
         assert parse_element(text, phi.ctx) == image
         assert evaluated == list(dict.fromkeys(literals))

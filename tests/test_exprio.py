@@ -35,6 +35,9 @@ from weylalg import (
 from weylalg.exprio import MAX_NESTING
 from weylalg.sampling import random_element, random_instance
 
+from expr_strategies import expressions
+from oracles import assert_matches, truncate_sympy
+
 
 @pytest.mark.parametrize("text,want", [
     ("0", "0"),
@@ -153,6 +156,64 @@ def test_parse_errors_with_position(text, exc, pos, ctx2):
         parse_element(text, ctx2)
     if pos is not None:
         assert (info.value.line, info.value.col) == pos
+
+
+# A power of a name or of a parenthesised constant is one token; an error
+# inside one has the class, message and position it would have if each of
+# its parts were a token of its own.
+@pytest.mark.parametrize("text,exc,msg,pos", [
+    ("x1^2000000", ExponentOverflowError,
+     "exponent 2000000 exceeds limit 1000000", (1, 4)),
+    ("(3)^2000000", ExponentOverflowError,
+     "exponent 2000000 exceeds limit 1000000", (1, 5)),
+    ("x1 ^\n 2000000", ExponentOverflowError,
+     "exponent 2000000 exceeds limit 1000000", (2, 2)),
+    ("(1/0)^2", ExprSyntaxError, "zero denominator", (1, 2)),
+    ("(2 - 1/0*i)", ExprSyntaxError, "zero denominator", (1, 6)),
+    ("y^2", UnknownVariableError, "unknown identifier 'y'", (1, 1)),
+    ("x9^2", UnknownVariableError,
+     "variable 'x9' out of range for dimension 2", (1, 1)),
+    ("2(3)", ExprSyntaxError, "unexpected '(' after expression", (1, 2)),
+    ("x1 (3/4)", ExprSyntaxError, "unexpected '(' after expression", (1, 4)),
+    ("x1^2/3", ExprSyntaxError, "exponent must be a natural number", (1, 4)),
+    ("x1^23/4", ExprSyntaxError, "exponent must be a natural number", (1, 4)),
+    ("(3)^(2)", ExprSyntaxError, "exponent must be a natural number", (1, 5)),
+    ("x1^2^3", ExprSyntaxError, "unexpected '^' after expression", (1, 5)),
+    ("x1^" + "7" * 5000, ExprSyntaxError,
+     "number of 5000 digits exceeds the limit of 4300", (1, 4)),
+    pytest.param("(" * (MAX_NESTING + 1) + "854/3" + ")" * (MAX_NESTING + 1),
+                 ExprSyntaxError, f"parentheses nest deeper than {MAX_NESTING}",
+                 (1, MAX_NESTING + 1), id="literal-nesting-past-bound"),
+    pytest.param("(" * MAX_NESTING + "(2+i)^2" + ")" * MAX_NESTING,
+                 ExprSyntaxError, f"parentheses nest deeper than {MAX_NESTING}",
+                 (1, MAX_NESTING + 1), id="constant-power-past-bound"),
+])
+def test_errors_inside_power_tokens(text, exc, msg, pos, ctx2):
+    with pytest.raises(exc) as info:
+        parse_element(text, ctx2)
+    assert type(info.value) is exc
+    assert str(info.value) == f"{msg} (line {pos[0]}, column {pos[1]})"
+
+
+@pytest.mark.parametrize("text,want", [
+    # a "/" after the exponent's digits makes them a rational literal,
+    # which is an exponent when it is a natural
+    ("x1^4/2", "x1^2"),
+    ("(3)^6/3", "9"),
+    ("(0)^0/5", "1"),
+    ("x1 ^ \n 2 * ( 1 / 2 \t- i ) ^ 2", "(-3/4-i)*x1^2"),
+    ("(-2+i)*x1 + (8/3-2*i)*p1", "(-2+i)*x1 + (8/3-2*i)*p1"),
+])
+def test_power_tokens_evaluate(text, want, ctx1):
+    assert format_element(parse_element(text, ctx1)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions(), st.integers(4, 8))
+def test_parse_matches_sympy(pair, trunc):
+    text, expr = pair
+    assert_matches(parse_element(text, Context(2, trunc)),
+                   truncate_sympy(expr, 2, trunc))
 
 
 # Differential check of the parser against element arithmetic. A tree is
@@ -277,6 +338,12 @@ def test_parse_scalar():
     for text in ("h^3", "p1^9", "x1^5 + 2"):
         with pytest.raises(RecordError):
             parse_scalar(text)
+    # the check reads the name of a power token, not the token's text
+    assert parse_scalar("i^2") == GaussianRational(-1)
+    assert parse_scalar("(1/2-i)^2") == GaussianRational("-3/4", -1)
+    with pytest.raises(RecordError,
+                       match=r"^expected a scalar constant, got 'h\^2'$"):
+        parse_scalar("h^2")
 
 
 def test_element_record_roundtrip(rng, ctx2):
